@@ -44,7 +44,10 @@
 //!   at 1–144 vCPUs and emit `BENCH_wallclock.json`, gating that the
 //!   parallel splice's 1→144 growth stays sub-linear while vanilla's is
 //!   ~linear; `--serial-splice` forces the pool inline, which MUST trip
-//!   that gate (CI's negative self-test).
+//!   that gate (CI's negative self-test). The same run repeats the sweep
+//!   with **no** emulated wake, inline against parallel (`zero_wake`
+//!   section, same growth gate), and prints the vCPU count from which
+//!   the parallel splice beats inline, if any.
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -354,6 +357,10 @@ const WALL_WORKERS: usize = 8;
 /// `thread::sleep`s, never the virtual cost axis, so the deterministic
 /// baseline gate is untouched.
 const WALL_WAKE_NANOS: u64 = 20_000;
+/// Measured repetitions per point of the zero-wake sweep: with no
+/// emulated sleep a resume is microseconds, so the sweep can afford a
+/// median over a few hundred.
+const ZERO_WAKE_REPS: usize = 200;
 /// Growth bound for the 1→144 sweep. Vanilla resume wakes all 144 vCPUs
 /// from the resuming thread, so its wall-clock grows ~144× (timer slack
 /// scales with it); the parallel splice spreads the same wakes over
@@ -362,7 +369,8 @@ const WALL_WAKE_NANOS: u64 = 20_000;
 const WALL_SUBLINEAR_BOUND: f64 = 36.0;
 
 /// One wall-clock point of `(vcpus, mode)`: real resume latencies in
-/// nanoseconds over [`WALL_REPS`] warm pause/resume cycles.
+/// nanoseconds over `reps` warm pause/resume cycles, splicing on `pool`
+/// with `wake_nanos` of emulated wake per vCPU.
 ///
 /// The host carries a background uLL sandbox on even credits and the
 /// measured sandbox on odd credits, so each resume splices one distinct
@@ -373,15 +381,13 @@ fn wall_resume_samples(
     cost: &CostModel,
     vcpus: u32,
     mode: ResumeMode,
-    serial_splice: bool,
+    pool: SplicePool,
+    wake_nanos: u64,
+    reps: usize,
 ) -> Vec<f64> {
     let mut vmm = Vmm::new(paper_sched_config(), *cost);
-    if mode.uses_ppsm() {
-        let mut pool = SplicePool::parallel(WALL_WORKERS);
-        pool.set_serial(serial_splice);
-        vmm.set_splice_pool(pool);
-    }
-    vmm.set_wake_emulation_nanos(WALL_WAKE_NANOS);
+    vmm.set_splice_pool(pool);
+    vmm.set_wake_emulation_nanos(wake_nanos);
 
     let config = || {
         SandboxConfig::builder()
@@ -401,8 +407,8 @@ fn wall_resume_samples(
         .expect("measured sandbox starts");
 
     let policy = policy_for(mode);
-    let mut samples = Vec::with_capacity(WALL_REPS);
-    for rep in 0..=WALL_REPS {
+    let mut samples = Vec::with_capacity(reps);
+    for rep in 0..=reps {
         vmm.pause(measured, policy).expect("running sandbox pauses");
         let t0 = Instant::now();
         vmm.resume(measured, mode).expect("paused sandbox resumes");
@@ -419,15 +425,39 @@ struct WallPoint {
     summary: RobustSummary,
 }
 
-/// Measures the full [`WALL_VCPUS`] sweep for one mode.
-fn wall_sweep(cost: &CostModel, mode: ResumeMode, serial_splice: bool) -> Vec<WallPoint> {
+/// Measures the full [`WALL_VCPUS`] sweep for one mode, each point on a
+/// fresh VMM with its own `pool()`.
+fn wall_sweep(
+    cost: &CostModel,
+    mode: ResumeMode,
+    pool: &dyn Fn() -> SplicePool,
+    wake_nanos: u64,
+    reps: usize,
+) -> Vec<WallPoint> {
     WALL_VCPUS
         .iter()
         .map(|&vcpus| WallPoint {
             vcpus,
-            summary: RobustSummary::of(&wall_resume_samples(cost, vcpus, mode, serial_splice)),
+            summary: RobustSummary::of(&wall_resume_samples(
+                cost,
+                vcpus,
+                mode,
+                pool(),
+                wake_nanos,
+                reps,
+            )),
         })
         .collect()
+}
+
+/// Smallest swept vCPU count at which the `parallel` sweep's median
+/// resume beats the `inline` one's, if any.
+fn wall_crossover(inline: &[WallPoint], parallel: &[WallPoint]) -> Option<u32> {
+    inline
+        .iter()
+        .zip(parallel)
+        .find(|(i, p)| p.summary.median < i.summary.median)
+        .map(|(i, _)| i.vcpus)
 }
 
 /// Wall-clock growth of the sweep: last point over first point, on the
@@ -1186,9 +1216,48 @@ fn main() {
     // deterministic, so nothing here may join the baseline gate.
     let mut wall_failures: Vec<String> = Vec::new();
     if opts.wall_clock_resume {
-        let horse = wall_sweep(&cost, ResumeMode::Horse, opts.serial_splice);
-        let vanil = wall_sweep(&cost, ResumeMode::Vanilla, false);
-        for (label, points) in [("horse", &horse), ("vanil", &vanil)] {
+        let parallel_pool = || {
+            let mut pool = SplicePool::parallel(WALL_WORKERS);
+            pool.set_serial(opts.serial_splice);
+            pool
+        };
+        let horse = wall_sweep(
+            &cost,
+            ResumeMode::Horse,
+            &parallel_pool,
+            WALL_WAKE_NANOS,
+            WALL_REPS,
+        );
+        let vanil = wall_sweep(
+            &cost,
+            ResumeMode::Vanilla,
+            &SplicePool::inline,
+            WALL_WAKE_NANOS,
+            WALL_REPS,
+        );
+        // The same sweep with no emulated wake at all: what the splice
+        // and its hand-off cost on their own, inline against parallel
+        // (never serialized — `--serial-splice` tests the gate above).
+        let zero_inline = wall_sweep(
+            &cost,
+            ResumeMode::Horse,
+            &SplicePool::inline,
+            0,
+            ZERO_WAKE_REPS,
+        );
+        let zero_parallel = wall_sweep(
+            &cost,
+            ResumeMode::Horse,
+            &|| SplicePool::parallel(WALL_WORKERS),
+            0,
+            ZERO_WAKE_REPS,
+        );
+        for (label, points) in [
+            ("horse", &horse),
+            ("vanil", &vanil),
+            ("zero-wake inline", &zero_inline),
+            ("zero-wake parallel", &zero_parallel),
+        ] {
             for p in points {
                 println!(
                     "wallclock: {label} v{:>3} -> mean {:>12.0} ns \
@@ -1229,6 +1298,29 @@ fn main() {
             ));
         }
 
+        let zero_growth = wall_growth(&zero_parallel);
+        if zero_growth < WALL_SUBLINEAR_BOUND {
+            println!(
+                "wallclock gate: zero-wake parallel-splice growth 1→144 is {zero_growth:.1}x \
+                 (sub-linear, < {WALL_SUBLINEAR_BOUND}x)"
+            );
+        } else {
+            wall_failures.push(format!(
+                "zero-wake parallel-splice wall-clock growth 1→144 is {zero_growth:.1}x, \
+                 not sub-linear (gate: < {WALL_SUBLINEAR_BOUND}x)"
+            ));
+        }
+        let crossover = wall_crossover(&zero_inline, &zero_parallel);
+        match crossover {
+            Some(vcpus) => {
+                println!("wallclock: zero-wake parallel splice beats inline from {vcpus} vCPUs")
+            }
+            None => println!(
+                "wallclock: zero-wake parallel splice beats inline at no swept width (≤ {} vCPUs)",
+                WALL_VCPUS[WALL_VCPUS.len() - 1]
+            ),
+        }
+
         let wall_doc = obj(vec![
             ("schema".into(), JsonValue::String(SCHEMA_WALLCLOCK.into())),
             ("git_sha".into(), JsonValue::String(sha.clone())),
@@ -1244,6 +1336,18 @@ fn main() {
             ),
             ("horse".into(), wall_mode_json(&horse)),
             ("vanil".into(), wall_mode_json(&vanil)),
+            (
+                "zero_wake".into(),
+                obj(vec![
+                    ("repetitions".into(), num(ZERO_WAKE_REPS as f64)),
+                    ("inline".into(), wall_mode_json(&zero_inline)),
+                    ("parallel".into(), wall_mode_json(&zero_parallel)),
+                    (
+                        "crossover_vcpus".into(),
+                        crossover.map_or(JsonValue::Null, |v| num(f64::from(v))),
+                    ),
+                ]),
+            ),
         ]);
         let wall_path = format!("{}/BENCH_wallclock.json", opts.out);
         write_json(&wall_path, &wall_doc);

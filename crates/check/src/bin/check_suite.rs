@@ -11,10 +11,10 @@
 //! CI asserts this for every mutation — the harness's negative control.
 
 use horse_check::{
-    check_linearizable_bounded, coalesce_oracle_case, explore, explore_ring, explore_splice,
-    merge_oracle_case, run_pool_trajectory, vmm_differential_case, Event, ExploreConfig, History,
-    LinearizeError, Mutation, PoolOp, PoolResult, RingExploreConfig, SchedulePolicy,
-    SpliceExploreConfig, TickSource,
+    check_linearizable_bounded, coalesce_oracle_case, explore, explore_handoff, explore_ring,
+    explore_splice, merge_oracle_case, run_pool_trajectory, vmm_differential_case, Event,
+    ExploreConfig, HandoffExploreConfig, History, LinearizeError, Mutation, PoolOp, PoolResult,
+    RingExploreConfig, SchedulePolicy, SpliceExploreConfig, TickSource,
 };
 use horse_faas::{KeepAlive, ShardedWarmPool};
 use horse_sched::SandboxId;
@@ -36,7 +36,8 @@ OPTIONS:
     --cases N      Cases per randomized section (default 64).
     --mutate NAME  Plant a known bug; the run must fail. Names:
                    splice-misorder, stale-plan, coalesce-off-by-one,
-                   nonlinearizable-pool, splice-worker-misorder.
+                   nonlinearizable-pool, splice-worker-misorder,
+                   splice-handoff-early-join.
     --help         Show this help.";
 
 struct Suite {
@@ -312,11 +313,18 @@ fn main() {
     //    splice workers: one splice per granted step, merged queue
     //    compared against the sequential merge-walk oracle (multiset AND
     //    FIFO order). `--mutate splice-worker-misorder` plants a worker
-    //    that links its anchor to the sub-list tail.
+    //    that links its anchor to the sub-list tail. Then the pool's
+    //    park/unpark hand-off, stepped one atomic operation at a time;
+    //    `--mutate splice-handoff-early-join` plants a dispatcher that
+    //    joins at countdown ≤ 1.
     suite.section("splice-explore", |s| {
         let cfg = SpliceExploreConfig {
             plant_misorder: mutation == Some(Mutation::SpliceWorkerMisorder),
             ..SpliceExploreConfig::default()
+        };
+        let handoff_cfg = HandoffExploreConfig {
+            plant_early_join: mutation == Some(Mutation::SpliceHandoffEarlyJoin),
+            ..HandoffExploreConfig::default()
         };
         for policy in [
             SchedulePolicy::RoundRobin,
@@ -331,6 +339,16 @@ fn main() {
                         "splice-explore",
                         format!(
                             "policy {policy} seed {esee}: {v}\n  schedule decisions: {:?}",
+                            r.decisions
+                        ),
+                    );
+                }
+                let r = explore_handoff(&handoff_cfg, policy, esee);
+                if let Some(v) = r.violation {
+                    s.fail(
+                        "splice-explore",
+                        format!(
+                            "hand-off, policy {policy} seed {esee}: {v}\n  schedule decisions: {:?}",
                             r.decisions
                         ),
                     );

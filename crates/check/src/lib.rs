@@ -25,9 +25,11 @@
 //! * [`splice_explore`] — the same seeded schedules driving real
 //!   𝒫²𝒮ℳ splice-worker threads one splice at a time, with the merged
 //!   queue compared against the sequential merge-walk oracle in both
-//!   multiset and FIFO order;
+//!   multiset and FIFO order, and a stepped model of the splice pool's
+//!   park/unpark hand-off (no early join, no lost wake-up, every merge
+//!   executed exactly once per worker);
 //!
-//! The harness distrusts itself too: [`mutate`] defines five known bugs
+//! The harness distrusts itself too: [`mutate`] defines six known bugs
 //! (`check_suite --mutate <name>`) that are planted into the system
 //! under test, and CI asserts each one is caught — a checker that can't
 //! fail its own negative control proves nothing.
@@ -63,5 +65,6 @@ pub use reliability_oracle::{
 pub use ring_explore::{explore_ring, RingExploration, RingExploreConfig};
 pub use spec::{spec_expired, SpecLoad, SpecPool, SpecRunQueue};
 pub use splice_explore::{
-    explore_splice, SpliceExploration, SpliceExploreConfig, SpliceStepRecord,
+    explore_handoff, explore_splice, HandoffExploration, HandoffExploreConfig, SpliceExploration,
+    SpliceExploreConfig, SpliceStepRecord,
 };

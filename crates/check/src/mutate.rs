@@ -37,16 +37,22 @@ pub enum Mutation {
     /// explorer (merged queue diverges from the sequential merge-walk
     /// oracle, or the list invariants break).
     SpliceWorkerMisorder,
+    /// The splice pool's dispatcher treats a countdown of ≤ 1 as "every
+    /// worker done" and runs `finish_staged` with a block outstanding.
+    /// Caught by the stepped hand-off explorer (the join condition reads
+    /// true while a worker has not executed its block).
+    SpliceHandoffEarlyJoin,
 }
 
 impl Mutation {
     /// Every mutation, in a fixed order.
-    pub const ALL: [Mutation; 5] = [
+    pub const ALL: [Mutation; 6] = [
         Mutation::SpliceMisorder,
         Mutation::StaleMergePlan,
         Mutation::CoalesceOffByOne,
         Mutation::NonLinearizablePool,
         Mutation::SpliceWorkerMisorder,
+        Mutation::SpliceHandoffEarlyJoin,
     ];
 
     /// The CLI name (`check_suite --mutate <name>`).
@@ -57,6 +63,7 @@ impl Mutation {
             Mutation::CoalesceOffByOne => "coalesce-off-by-one",
             Mutation::NonLinearizablePool => "nonlinearizable-pool",
             Mutation::SpliceWorkerMisorder => "splice-worker-misorder",
+            Mutation::SpliceHandoffEarlyJoin => "splice-handoff-early-join",
         }
     }
 

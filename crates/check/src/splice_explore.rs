@@ -20,6 +20,15 @@
 //! links its anchor to the sub-list *tail*, dropping the interior — is
 //! always expressible and must always be caught: the harness's negative
 //! control for this checker.
+//!
+//! [`explore_handoff`] checks the other half of the VMM's `SplicePool`:
+//! not *what* the workers write but *how a merge reaches them* — the
+//! park/unpark hand-off between the dispatching thread and the pool's
+//! long-lived workers (publish generation → take job → execute block →
+//! count down → wake dispatcher). It is a model, stepped one atomic
+//! operation at a time under the same three schedulers, and it executes
+//! the real splice blocks so a protocol bug also shows as a wrong queue.
+//! Its planted bug is [`Mutation::SpliceHandoffEarlyJoin`](crate::Mutation).
 
 use crate::explore::{SchedulePolicy, Scheduler};
 use horse_core::{Arena, MergePlan, SortedList};
@@ -122,6 +131,16 @@ fn contents(arena: &Arena<u64>, l: &SortedList) -> Vec<(i64, u64)> {
     l.iter(arena).map(|(_, k, p)| (k, *p)).collect()
 }
 
+/// The sequential oracle, in its own arena: an O(n+m) FIFO-stable merge
+/// walk of `a_keys` into `b_keys`.
+fn sequential_oracle(b_keys: &[i64], a_keys: &[i64]) -> Vec<(i64, u64)> {
+    let mut arena = Arena::new();
+    let mut b = build(&mut arena, b_keys, B_BASE);
+    let a = build(&mut arena, a_keys, A_BASE);
+    b.merge_walk(&arena, a);
+    contents(&arena, &b)
+}
+
 /// Runs one seeded exploration of the parallel splice workers and
 /// validates the merged queue against the sequential oracle. The
 /// returned [`SpliceExploration`] carries the full decision sequence;
@@ -134,14 +153,7 @@ pub fn explore_splice(
 ) -> SpliceExploration {
     let (b_keys, a_keys) = generate_case(cfg, seed);
 
-    // Sequential oracle in its own arena.
-    let expected = {
-        let mut arena = Arena::new();
-        let mut b = build(&mut arena, &b_keys, B_BASE);
-        let a = build(&mut arena, &a_keys, A_BASE);
-        b.merge_walk(&arena, a);
-        contents(&arena, &b)
-    };
+    let expected = sequential_oracle(&b_keys, &a_keys);
 
     // System under test: the staged protocol on stepped real threads.
     let mut arena = Arena::new();
@@ -278,6 +290,363 @@ pub fn explore_splice(
     }
 }
 
+/// Parameters of one hand-off exploration.
+#[derive(Debug, Clone, Copy)]
+pub struct HandoffExploreConfig {
+    /// Pool workers (≥ 1).
+    pub workers: usize,
+    /// Back-to-back merges on the one pool: stale wake-up tokens only
+    /// exist from the second merge on.
+    pub merges: usize,
+    /// Destination run-queue length of every merge (see
+    /// [`SpliceExploreConfig::b_len`]).
+    pub b_len: usize,
+    /// Merged-list length of every merge.
+    pub a_len: usize,
+    /// Plant the early-join bug (`--mutate splice-handoff-early-join`):
+    /// the dispatcher treats a countdown of ≤ 1 as "all workers done".
+    /// The run must then fail.
+    pub plant_early_join: bool,
+}
+
+impl Default for HandoffExploreConfig {
+    fn default() -> Self {
+        Self {
+            workers: 3,
+            merges: 4,
+            b_len: 12,
+            a_len: 8,
+            plant_early_join: false,
+        }
+    }
+}
+
+/// Outcome of one hand-off exploration.
+#[derive(Debug)]
+pub struct HandoffExploration {
+    /// Thread granted each step (0 = dispatcher, `1 + w` = worker `w`).
+    pub decisions: Vec<usize>,
+    /// Blocks executed, all workers and merges together.
+    pub executed_blocks: usize,
+    /// Error description if a check rejected the run.
+    pub violation: Option<String>,
+}
+
+/// Generation value that tells a worker to exit.
+const SHUTDOWN: u64 = u64::MAX;
+
+/// Where the dispatcher is in `SplicePool::run` / `Drop`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DispatcherAt {
+    /// Store the countdown; open the next merge.
+    Reset,
+    /// Fill worker `w`'s job slot and store its generation word.
+    Publish(usize),
+    /// `unpark` worker `w`.
+    Unpark(usize),
+    /// Load the countdown: join, or park.
+    Check,
+    /// In `park` (runnable only while it holds a token).
+    Parked,
+    /// `finish_staged`.
+    Join,
+    /// Store the shutdown generation of worker `w` and unpark it.
+    Shutdown(usize),
+    Done,
+}
+
+/// Where a worker is in its loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WorkerAt {
+    /// Load the generation word: serve it, exit, or park.
+    Check,
+    Parked,
+    /// Take the job out of the slot.
+    Take,
+    /// Execute the block.
+    Execute,
+    /// Decrement the countdown.
+    CountDown,
+    /// `unpark` the dispatcher (only whoever counted down to 0).
+    Wake,
+    Done,
+}
+
+/// One merge of the exploration: the real lists and plan the modelled
+/// workers splice.
+struct HandoffCase {
+    arena: Arena<u64>,
+    b: SortedList,
+    /// `None` once the dispatcher has run `finish_staged`.
+    plan: Option<MergePlan>,
+    expected: Vec<(i64, u64)>,
+}
+
+impl HandoffCase {
+    fn generate(cfg: &HandoffExploreConfig, seed: u64) -> Self {
+        let splice_cfg = SpliceExploreConfig {
+            b_len: cfg.b_len,
+            a_len: cfg.a_len,
+            ..SpliceExploreConfig::default()
+        };
+        let (b_keys, a_keys) = generate_case(&splice_cfg, seed);
+        let expected = sequential_oracle(&b_keys, &a_keys);
+        let mut arena = Arena::new();
+        let b = build(&mut arena, &b_keys, B_BASE);
+        let a = build(&mut arena, &a_keys, A_BASE);
+        let plan = MergePlan::precompute(&arena, &b, a);
+        Self {
+            arena,
+            b,
+            plan: Some(plan),
+            expected,
+        }
+    }
+}
+
+/// Runs one seeded exploration of the pool's hand-off protocol.
+///
+/// Threads are state machines stepped on the calling thread; one step is
+/// one atomic operation of the real protocol. A parked thread is runnable
+/// only while it holds an unpark token, so a lost wake-up shows as a
+/// state where nobody can run. Checked, stopping at the first failure:
+///
+/// * **no early join** — `park` may return spuriously at any instant, so
+///   whenever the dispatcher is waiting and its join condition reads
+///   true, every worker must already have executed the current merge's
+///   block; and again when it actually joins, where the merged queue
+///   must equal the sequential oracle;
+/// * **no lost wake-up** — some thread can always run until all are done;
+/// * **exactly once** — every worker executes every published merge once,
+///   and never finds its job slot empty.
+pub fn explore_handoff(
+    cfg: &HandoffExploreConfig,
+    policy: SchedulePolicy,
+    seed: u64,
+) -> HandoffExploration {
+    let workers = cfg.workers.max(1);
+    let merges = cfg.merges.max(1);
+    let joinable = |remaining: usize| {
+        if cfg.plant_early_join {
+            remaining <= 1
+        } else {
+            remaining == 0
+        }
+    };
+
+    // The protocol's shared words.
+    let mut generation = vec![0u64; workers];
+    let mut job_filled = vec![false; workers];
+    let mut remaining = 0usize;
+    // Unpark tokens: index 0 the dispatcher's, `1 + w` worker `w`'s.
+    let mut token = vec![false; workers + 1];
+
+    let mut dispatcher = DispatcherAt::Reset;
+    let mut merge_no = 0u64;
+    let mut worker_at = vec![WorkerAt::Check; workers];
+    let mut served = vec![0u64; workers];
+    // Merges each worker executed, in order.
+    let mut executed: Vec<Vec<u64>> = vec![Vec::new(); workers];
+    let mut case: Option<HandoffCase> = None;
+
+    let expected_steps = merges * (8 * workers + 6) + 2 * workers;
+    let mut sched = Scheduler::new(policy, seed, workers + 1, expected_steps);
+    let mut decisions = Vec::new();
+    let mut violation: Option<String> = None;
+
+    while violation.is_none() {
+        let mut runnable: Vec<usize> = Vec::with_capacity(workers + 1);
+        match dispatcher {
+            DispatcherAt::Done => {}
+            DispatcherAt::Parked if !token[0] => {}
+            _ => runnable.push(0),
+        }
+        for w in 0..workers {
+            match worker_at[w] {
+                WorkerAt::Done => {}
+                WorkerAt::Parked if !token[1 + w] => {}
+                _ => runnable.push(1 + w),
+            }
+        }
+        if runnable.is_empty() {
+            let all_done = dispatcher == DispatcherAt::Done
+                && worker_at.iter().all(|at| *at == WorkerAt::Done);
+            if !all_done {
+                violation = Some(format!(
+                    "lost wake-up: every live thread is parked without a token \
+                     (dispatcher {dispatcher:?}, workers {worker_at:?}, countdown {remaining})"
+                ));
+            }
+            break;
+        }
+        if decisions.len() > 4 * expected_steps {
+            violation = Some("no progress: the protocol is spinning".into());
+            break;
+        }
+        let chosen = sched.pick(&runnable, decisions.len());
+        decisions.push(chosen);
+
+        if chosen == 0 {
+            dispatcher = match dispatcher {
+                DispatcherAt::Reset => {
+                    merge_no += 1;
+                    case = Some(HandoffCase::generate(cfg, seed.wrapping_add(merge_no)));
+                    remaining = workers;
+                    DispatcherAt::Publish(0)
+                }
+                DispatcherAt::Publish(w) => {
+                    job_filled[w] = true;
+                    generation[w] = merge_no;
+                    DispatcherAt::Unpark(w)
+                }
+                DispatcherAt::Unpark(w) => {
+                    token[1 + w] = true;
+                    if w + 1 < workers {
+                        DispatcherAt::Publish(w + 1)
+                    } else {
+                        DispatcherAt::Check
+                    }
+                }
+                DispatcherAt::Check => {
+                    if joinable(remaining) {
+                        DispatcherAt::Join
+                    } else {
+                        DispatcherAt::Parked
+                    }
+                }
+                DispatcherAt::Parked => {
+                    token[0] = false;
+                    DispatcherAt::Check
+                }
+                DispatcherAt::Join => {
+                    let case = case.as_mut().expect("a merge is open");
+                    let plan = case.plan.take().expect("joined once per merge");
+                    plan.finish_staged(&case.arena, &mut case.b);
+                    let late: Vec<usize> = (0..workers)
+                        .filter(|&w| executed[w].last() != Some(&merge_no))
+                        .collect();
+                    if !late.is_empty() {
+                        violation = Some(format!(
+                            "early join: merge {merge_no} finished with the blocks of workers \
+                             {late:?} outstanding"
+                        ));
+                    } else if let Err(e) = case.b.check_invariants(&case.arena) {
+                        violation = Some(format!("merge {merge_no}: invariants violated: {e}"));
+                    } else if contents(&case.arena, &case.b) != case.expected {
+                        violation = Some(format!(
+                            "merge {merge_no}: queue diverges from the sequential oracle"
+                        ));
+                    }
+                    if merge_no < merges as u64 {
+                        DispatcherAt::Reset
+                    } else {
+                        DispatcherAt::Shutdown(0)
+                    }
+                }
+                DispatcherAt::Shutdown(w) => {
+                    generation[w] = SHUTDOWN;
+                    token[1 + w] = true;
+                    if w + 1 < workers {
+                        DispatcherAt::Shutdown(w + 1)
+                    } else {
+                        DispatcherAt::Done
+                    }
+                }
+                DispatcherAt::Done => unreachable!("a finished thread is not runnable"),
+            };
+        } else {
+            let w = chosen - 1;
+            worker_at[w] = match worker_at[w] {
+                WorkerAt::Check => {
+                    if generation[w] == SHUTDOWN {
+                        WorkerAt::Done
+                    } else if generation[w] != served[w] {
+                        served[w] = generation[w];
+                        WorkerAt::Take
+                    } else {
+                        WorkerAt::Parked
+                    }
+                }
+                WorkerAt::Parked => {
+                    token[1 + w] = false;
+                    WorkerAt::Check
+                }
+                WorkerAt::Take => {
+                    if !std::mem::take(&mut job_filled[w]) {
+                        violation = Some(format!(
+                            "worker {w} served generation {} but its job slot was empty",
+                            served[w]
+                        ));
+                    }
+                    WorkerAt::Execute
+                }
+                WorkerAt::Execute => {
+                    let case = case.as_ref().expect("a merge is open");
+                    match (&case.plan, executed[w].contains(&served[w])) {
+                        (_, true) => {
+                            violation =
+                                Some(format!("worker {w} executed merge {} twice", served[w]));
+                        }
+                        (None, _) => {
+                            violation = Some(format!(
+                                "worker {w} executed merge {} after the dispatcher joined it",
+                                served[w]
+                            ));
+                        }
+                        (Some(plan), false) => {
+                            let staged = plan.stage(&case.b).expect("B is untouched until join");
+                            staged.block(w, workers).execute(&case.arena);
+                            executed[w].push(served[w]);
+                        }
+                    }
+                    WorkerAt::CountDown
+                }
+                WorkerAt::CountDown => {
+                    remaining = remaining.wrapping_sub(1);
+                    if remaining == 0 {
+                        WorkerAt::Wake
+                    } else {
+                        WorkerAt::Check
+                    }
+                }
+                WorkerAt::Wake => {
+                    token[0] = true;
+                    WorkerAt::Check
+                }
+                WorkerAt::Done => unreachable!("a finished thread is not runnable"),
+            };
+        }
+
+        // `park` may return spuriously right now: the join condition must
+        // already be safe to act on.
+        let waiting = matches!(dispatcher, DispatcherAt::Check | DispatcherAt::Parked);
+        if violation.is_none() && waiting && joinable(remaining) {
+            if let Some(w) = (0..workers).find(|&w| executed[w].last() != Some(&merge_no)) {
+                violation = Some(format!(
+                    "early join possible: the dispatcher would join merge {merge_no} at \
+                     countdown {remaining} while worker {w} has not executed its block"
+                ));
+            }
+        }
+    }
+
+    if violation.is_none() {
+        let every_merge: Vec<u64> = (1..=merges as u64).collect();
+        if let Some(w) = (0..workers).find(|&w| executed[w] != every_merge) {
+            violation = Some(format!(
+                "worker {w} executed merges {:?}, expected each of 1..={merges} once",
+                executed[w]
+            ));
+        }
+    }
+
+    HandoffExploration {
+        decisions,
+        executed_blocks: executed.iter().map(Vec::len).sum(),
+        violation,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,6 +701,48 @@ mod tests {
                     r.violation.is_some(),
                     "policy {policy} seed {seed}: planted misorder escaped the oracle"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn handoff_passes_under_all_policies_and_replays() {
+        for workers in [1usize, 2, 3, 8] {
+            let cfg = HandoffExploreConfig {
+                workers,
+                ..HandoffExploreConfig::default()
+            };
+            for policy in POLICIES {
+                for seed in [1u64, 42, 1337] {
+                    let r = explore_handoff(&cfg, policy, seed);
+                    assert!(
+                        r.violation.is_none(),
+                        "workers {workers} policy {policy} seed {seed}: {:?}\ndecisions: {:?}",
+                        r.violation,
+                        r.decisions
+                    );
+                    assert_eq!(r.executed_blocks, workers * cfg.merges);
+                    let again = explore_handoff(&cfg, policy, seed);
+                    assert_eq!(r.decisions, again.decisions, "policy {policy} must replay");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn planted_early_join_is_always_caught() {
+        let cfg = HandoffExploreConfig {
+            plant_early_join: true,
+            ..HandoffExploreConfig::default()
+        };
+        for policy in POLICIES {
+            // The seeds CI's three matrix entries derive.
+            for seed in [1u64, 2, 3, 42, 43, 44, 1337, 1338, 1339] {
+                let r = explore_handoff(&cfg, policy, seed);
+                let v = r.violation.unwrap_or_else(|| {
+                    panic!("policy {policy} seed {seed}: planted early join escaped")
+                });
+                assert!(v.contains("early join"), "policy {policy} seed {seed}: {v}");
             }
         }
     }

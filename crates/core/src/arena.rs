@@ -7,11 +7,17 @@
 //! disjoint positions concurrently *without any unsafe code and without
 //! mutual exclusion*, exactly as the paper's Algorithm 1 requires.
 //!
+//! The `next` words live apart from the payloads, in a dense [`LinkTable`]
+//! behind an `Arc`: long-lived splice workers (which cannot borrow the
+//! arena) take a clone for the duration of one merge and write the same
+//! words the arena reads.
+//!
 //! The arena also counts the operations performed on it (key comparisons,
 //! next-pointer writes, allocations) — the deterministic cost model of
 //! `horse-vmm` converts these counts into virtual nanoseconds.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Sentinel encoding of "null" inside the atomic next pointers.
 const NIL: u32 = u32::MAX;
@@ -26,13 +32,48 @@ impl NodeRef {
     }
 }
 
-/// One slab slot: the node payload plus its intrusive next pointer.
-#[derive(Debug)]
-struct Slot<T> {
-    /// `None` while the slot is on the free list.
-    node: Option<(i64, T)>,
-    /// Next node in whatever list this node belongs to (`NIL` = none).
-    next: AtomicU32,
+/// The arena's intrusive `next` pointers, one word per slab slot, shared
+/// by reference count so a thread that outlives any borrow of the
+/// [`Arena`] can still splice.
+///
+/// A clone taken with [`Arena::link_table`] addresses the same words as
+/// the arena until the arena next grows (growth installs a new, larger
+/// table). A holder must therefore drop its clone before the arena is
+/// mutably borrowed again — the splice pool's workers drop theirs before
+/// they signal completion. Writes through a clone are not counted in
+/// [`ArenaStats`]; the dispatcher books them with
+/// [`Arena::count_pointer_writes`].
+#[derive(Debug, Clone)]
+pub struct LinkTable(Arc<[AtomicU32]>);
+
+impl LinkTable {
+    fn with_len(len: usize) -> Self {
+        Self((0..len).map(|_| AtomicU32::new(NIL)).collect())
+    }
+
+    /// A table of at least double the size with the same contents.
+    fn grown(&self) -> Self {
+        let old = &self.0;
+        let len = (old.len() * 2).max(4);
+        Self(
+            (0..len)
+                .map(|i| AtomicU32::new(old.get(i).map_or(NIL, |w| w.load(Ordering::Relaxed))))
+                .collect(),
+        )
+    }
+
+    /// Reads the next pointer of `r`.
+    #[inline]
+    pub fn next(&self, r: NodeRef) -> Option<NodeRef> {
+        let raw = self.0[r.index()].load(Ordering::Relaxed);
+        (raw != NIL).then_some(NodeRef(raw))
+    }
+
+    /// Writes the next pointer of `r`.
+    #[inline]
+    pub fn set_next(&self, r: NodeRef, next: Option<NodeRef>) {
+        self.0[r.index()].store(next.map_or(NIL, |n| n.0), Ordering::Relaxed);
+    }
 }
 
 /// Counters of the primitive operations performed on the arena.
@@ -70,7 +111,10 @@ pub struct ArenaStats {
 /// ```
 #[derive(Debug)]
 pub struct Arena<T> {
-    slots: Vec<Slot<T>>,
+    /// Node payloads; `None` while the slot is on the free list.
+    slots: Vec<Option<(i64, T)>>,
+    /// `next` word of every slot (always at least `slots.len()` long).
+    links: LinkTable,
     free_list: Vec<u32>,
     live: usize,
     comparisons: AtomicU64,
@@ -95,6 +139,7 @@ impl<T> Arena<T> {
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             slots: Vec::with_capacity(cap),
+            links: LinkTable::with_len(cap),
             free_list: Vec::new(),
             live: 0,
             comparisons: AtomicU64::new(0),
@@ -120,17 +165,21 @@ impl<T> Arena<T> {
         self.live += 1;
         if let Some(idx) = self.free_list.pop() {
             let slot = &mut self.slots[idx as usize];
-            debug_assert!(slot.node.is_none(), "free-list slot was live");
-            slot.node = Some((key, value));
-            *slot.next.get_mut() = NIL;
+            debug_assert!(slot.is_none(), "free-list slot was live");
+            *slot = Some((key, value));
+            self.links.set_next(NodeRef(idx), None);
             NodeRef(idx)
         } else {
             let idx = u32::try_from(self.slots.len()).expect("arena exceeds u32 indices");
             assert_ne!(idx, NIL, "arena full");
-            self.slots.push(Slot {
-                node: Some((key, value)),
-                next: AtomicU32::new(NIL),
-            });
+            if self.slots.len() == self.links.0.len() {
+                // No splice worker holds a clone here: they drop theirs
+                // before the merge that lent it returns, and `&mut self`
+                // proves that merge is over.
+                debug_assert_eq!(Arc::strong_count(&self.links.0), 1);
+                self.links = self.links.grown();
+            }
+            self.slots.push(Some((key, value)));
             NodeRef(idx)
         }
     }
@@ -141,9 +190,10 @@ impl<T> Arena<T> {
     ///
     /// Panics if the node was already freed (use-after-free guard).
     pub fn free(&mut self, r: NodeRef) -> (i64, T) {
-        let slot = &mut self.slots[r.index()];
-        let node = slot.node.take().expect("double free of arena node");
-        *slot.next.get_mut() = NIL;
+        let node = self.slots[r.index()]
+            .take()
+            .expect("double free of arena node");
+        self.links.set_next(r, None);
         self.free_list.push(r.0);
         self.live -= 1;
         self.frees.fetch_add(1, Ordering::Relaxed);
@@ -156,7 +206,7 @@ impl<T> Arena<T> {
     ///
     /// Panics if the node was freed.
     pub fn key(&self, r: NodeRef) -> i64 {
-        self.slots[r.index()].node.as_ref().expect("freed node").0
+        self.slots[r.index()].as_ref().expect("freed node").0
     }
 
     /// Shared reference to the payload of a live node.
@@ -165,7 +215,7 @@ impl<T> Arena<T> {
     ///
     /// Panics if the node was freed.
     pub fn value(&self, r: NodeRef) -> &T {
-        &self.slots[r.index()].node.as_ref().expect("freed node").1
+        &self.slots[r.index()].as_ref().expect("freed node").1
     }
 
     /// Exclusive reference to the payload of a live node.
@@ -174,13 +224,12 @@ impl<T> Arena<T> {
     ///
     /// Panics if the node was freed.
     pub fn value_mut(&mut self, r: NodeRef) -> &mut T {
-        &mut self.slots[r.index()].node.as_mut().expect("freed node").1
+        &mut self.slots[r.index()].as_mut().expect("freed node").1
     }
 
     /// Reads the intrusive next pointer of `r`.
     pub fn next(&self, r: NodeRef) -> Option<NodeRef> {
-        let raw = self.slots[r.index()].next.load(Ordering::Relaxed);
-        (raw != NIL).then_some(NodeRef(raw))
+        self.links.next(r)
     }
 
     /// Writes the intrusive next pointer of `r`.
@@ -190,19 +239,32 @@ impl<T> Arena<T> {
     /// pointer write.
     pub fn set_next(&self, r: NodeRef, next: Option<NodeRef>) {
         self.pointer_writes.fetch_add(1, Ordering::Relaxed);
-        self.slots[r.index()]
-            .next
-            .store(next.map_or(NIL, |n| n.0), Ordering::Relaxed);
+        self.links.set_next(r, next);
+    }
+
+    /// The arena's `next` words, uncounted.
+    pub(crate) fn links(&self) -> &LinkTable {
+        &self.links
+    }
+
+    /// A handle on the arena's `next` words for a thread that cannot
+    /// borrow the arena (see [`LinkTable`] for the drop-before-`&mut`
+    /// rule).
+    pub fn link_table(&self) -> LinkTable {
+        self.links.clone()
+    }
+
+    /// Books `n` pointer writes not made through [`Self::set_next`]:
+    /// head/tail handle updates, and writes a splice worker made through
+    /// a [`LinkTable`] clone — so [`ArenaStats`] reads the same whichever
+    /// thread spliced.
+    pub fn count_pointer_writes(&self, n: u64) {
+        self.pointer_writes.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts one key comparison (called by list scans).
     pub(crate) fn count_comparison(&self) {
         self.comparisons.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a head/tail handle update as a pointer write.
-    pub(crate) fn count_pointer_write(&self) {
-        self.pointer_writes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Returns the accumulated operation counters and resets them to zero.
@@ -307,6 +369,28 @@ mod tests {
         assert_eq!(s.frees, 1);
         // take_stats resets.
         assert_eq!(a.stats(), ArenaStats::default());
+    }
+
+    #[test]
+    fn link_table_clone_shares_the_words_and_growth_keeps_them() {
+        let mut a: Arena<u32> = Arena::with_capacity(2);
+        let n1 = a.alloc(1, 1);
+        let n2 = a.alloc(2, 2);
+        {
+            let links = a.link_table();
+            links.set_next(n1, Some(n2));
+            assert_eq!(a.next(n1), Some(n2), "the arena reads a clone's write");
+            a.set_next(n2, Some(n1));
+            assert_eq!(links.next(n2), Some(n1), "and the clone the arena's");
+            assert_eq!(a.stats().pointer_writes, 1, "clone writes are uncounted");
+            a.count_pointer_writes(1);
+            assert_eq!(a.stats().pointer_writes, 2);
+        }
+        // Past the initial capacity: the table is replaced, links intact.
+        let more: Vec<_> = (0..10).map(|i| a.alloc(i, 0)).collect();
+        assert_eq!(a.next(n1), Some(n2));
+        assert_eq!(a.next(n2), Some(n1));
+        assert!(more.iter().all(|&n| a.next(n).is_none()));
     }
 
     #[test]

@@ -55,10 +55,10 @@ mod coalesce;
 mod list;
 mod p2sm;
 
-pub use arena::{Arena, ArenaStats, NodeRef};
+pub use arena::{Arena, ArenaStats, LinkTable, NodeRef};
 pub use coalesce::{CoalescedUpdate, InvalidCoefficientsError, LoadUpdate};
 pub use list::{Iter, SortedList};
 pub use p2sm::{
-    MergePlan, MergeReport, PlanBuffers, PlanCorruption, SpliceBlock, SpliceMode, StagedMerge,
-    StalePlanError,
+    DetachedBlock, MergePlan, MergeReport, PlanBuffers, PlanCorruption, SpliceBlock, SpliceMode,
+    StagedMerge, StalePlanError,
 };

@@ -105,7 +105,7 @@ impl SortedList {
             None => {
                 arena.set_next(node, self.head);
                 self.head = Some(node);
-                arena.count_pointer_write();
+                arena.count_pointer_writes(1);
                 if self.tail.is_none() {
                     self.tail = Some(node);
                 }
@@ -115,7 +115,7 @@ impl SortedList {
                 arena.set_next(p, Some(node));
                 if self.tail == Some(p) {
                     self.tail = Some(node);
-                    arena.count_pointer_write();
+                    arena.count_pointer_writes(1);
                 }
             }
         }
@@ -130,7 +130,7 @@ impl SortedList {
             self.tail = None;
         }
         self.len -= 1;
-        arena.count_pointer_write();
+        arena.count_pointer_writes(1);
         Some(arena.free(h))
     }
 
@@ -157,7 +157,7 @@ impl SortedList {
                 match prev {
                     None => {
                         self.head = after;
-                        arena.count_pointer_write();
+                        arena.count_pointer_writes(1);
                     }
                     Some(p) => arena.set_next(p, after),
                 }

@@ -19,7 +19,7 @@
 //! in §4.1.1 and §4.1.3: whenever the `ull_runqueue` or the paused
 //! sandbox's vCPU set changes, the plan is updated rather than rebuilt.
 
-use crate::arena::{Arena, NodeRef};
+use crate::arena::{Arena, LinkTable, NodeRef};
 use crate::list::SortedList;
 use std::error::Error;
 use std::fmt;
@@ -830,7 +830,9 @@ impl MergePlan {
 /// `StagedMerge` is `Send + Sync` (it only holds shared slices), so a
 /// worker pool can capture blocks across threads with no locking — the
 /// disjointness argument of the paper's Algorithm 1 applies per block
-/// exactly as it applies per splice.
+/// exactly as it applies per splice. Scoped threads borrow their
+/// [`SpliceBlock`]; a thread that outlives the borrow is handed a
+/// [`DetachedBlock`] copy.
 #[derive(Debug, Clone, Copy)]
 pub struct StagedMerge<'p> {
     array_b: &'p [NodeRef],
@@ -920,11 +922,29 @@ impl SpliceBlock<'_> {
     /// the paper's Algorithm 1. Exposed one-at-a-time so the check-plane
     /// explorer can interleave workers at splice granularity.
     pub fn execute_one<T: Sync>(&self, arena: &Arena<T>, i: usize) {
+        self.resolve(i).link_in(arena.links());
+        arena.count_pointer_writes(2);
+    }
+
+    /// Copies the block into `out` (cleared first, capacity reused) with
+    /// every anchor resolved to its node, so the copy needs neither the
+    /// plan nor `arrayB` — the hand-off to a worker thread that outlives
+    /// this borrow.
+    pub fn detach_into(&self, out: &mut DetachedBlock) {
+        out.splices.clear();
+        out.splices
+            .extend((0..self.splices.len()).map(|i| self.resolve(i)));
+    }
+
+    #[inline]
+    fn resolve(&self, i: usize) -> ResolvedSplice {
         let s = &self.splices[i];
-        let anchor_node = self.array_b[s.anchor as usize];
-        let tmp = arena.next(anchor_node);
-        arena.set_next(anchor_node, Some(s.sub.head));
-        arena.set_next(s.sub.tail, tmp);
+        ResolvedSplice {
+            anchor: self.array_b[s.anchor as usize],
+            head: s.sub.head,
+            tail: s.sub.tail,
+            sub_len: s.sub.len,
+        }
     }
 
     /// Deliberately buggy variant of [`Self::execute_one`] that links the
@@ -938,6 +958,59 @@ impl SpliceBlock<'_> {
         let tmp = arena.next(anchor_node);
         arena.set_next(anchor_node, Some(s.sub.tail));
         arena.set_next(s.sub.tail, tmp);
+    }
+}
+
+/// One node splice with its anchor position resolved to the node of *B*.
+#[derive(Debug, Clone, Copy)]
+struct ResolvedSplice {
+    anchor: NodeRef,
+    head: NodeRef,
+    tail: NodeRef,
+    sub_len: usize,
+}
+
+impl ResolvedSplice {
+    /// The two pointer writes of the paper's Algorithm 1: `anchor →
+    /// sub.head` and `sub.tail → anchor's old next`.
+    #[inline]
+    fn link_in(&self, links: &LinkTable) {
+        let tmp = links.next(self.anchor);
+        links.set_next(self.anchor, Some(self.head));
+        links.set_next(self.tail, tmp);
+    }
+}
+
+/// An owned copy of a [`SpliceBlock`] (see [`SpliceBlock::detach_into`]),
+/// executed through a [`LinkTable`] rather than a borrowed [`Arena`].
+#[derive(Debug, Default)]
+pub struct DetachedBlock {
+    splices: Vec<ResolvedSplice>,
+}
+
+impl DetachedBlock {
+    /// Number of splices in this block.
+    pub fn len(&self) -> usize {
+        self.splices.len()
+    }
+
+    /// Whether the block carries no splices.
+    pub fn is_empty(&self) -> bool {
+        self.splices.is_empty()
+    }
+
+    /// Elements of *A* merged by splice `i` (see [`SpliceBlock::sub_len`]).
+    pub fn sub_len(&self, i: usize) -> usize {
+        self.splices[i].sub_len
+    }
+
+    /// Executes every splice in the block. The writes are not counted in
+    /// [`crate::ArenaStats`]: whoever joins the workers books two per
+    /// splice with [`Arena::count_pointer_writes`].
+    pub fn execute_on(&self, links: &LinkTable) {
+        for s in &self.splices {
+            s.link_in(links);
+        }
     }
 }
 

@@ -380,7 +380,9 @@ mod tests {
 
     #[test]
     fn concurrent_writers_lose_nothing_within_capacity() {
-        let ring = std::sync::Arc::new(ShardedRing::new(8, 1 << 12));
+        // A shard must hold every event: which shard a thread lands on
+        // is a hash of its id, and nothing stops all eight colliding.
+        let ring = std::sync::Arc::new(ShardedRing::new(8, 1 << 13));
         let threads = 8;
         let per_thread = 1_000u64;
         std::thread::scope(|scope| {
@@ -405,7 +407,7 @@ mod tests {
             events.len() as u64 + ring.dropped(),
             threads as u64 * per_thread
         );
-        // All shards together have ample capacity: nothing overwritten.
+        // 8 000 events fit one 8 192-slot shard: nothing overwritten.
         assert_eq!(ring.dropped(), 0, "no drops within capacity");
         assert_eq!(events.len() as u64, threads as u64 * per_thread);
     }

@@ -2,39 +2,108 @@
 //!
 //! The paper's Algorithm 1 executes the splice on pre-existing,
 //! highest-priority kernel workers; this pool is the userspace analogue
-//! the VMM owns across resumes. A staged merge ([`MergePlan::stage`])
-//! partitions the splice-point map into disjoint per-worker blocks; the
-//! pool dispatches one scoped thread per configured worker, each of which
-//! executes its block — two atomic pointer writes per splice, **no lock
-//! on the merge itself** — and wakes the merged vCPUs (emulated; see
+//! the VMM owns across resumes. [`SplicePool::parallel`] creates its
+//! workers **once**; they sleep in [`std::thread::park`] between merges.
+//! A staged merge ([`MergePlan::stage`]) partitions the splice-point map
+//! into disjoint per-worker blocks, and the pool hands each worker its
+//! block — two atomic pointer writes per splice, **no lock on the merge
+//! itself** — and the wakes of the merged vCPUs (emulated; see
 //! [`Vmm::set_wake_emulation_nanos`]).
+//!
+//! # The hand-off
+//!
+//! Per worker: a job slot and a generation word. Per pool: a countdown
+//! and the dispatcher's thread handle. One merge, dispatcher side:
+//!
+//! 1. copy each worker's block into its slot's [`DetachedBlock`];
+//! 2. store its own [`Thread`] handle (captured per dispatch — the `Vmm`
+//!    sits behind a mutex and successive resumes come from different
+//!    driver threads) and set the countdown to the worker count;
+//! 3. per worker: put a [`LinkTable`] clone in the slot, store the new
+//!    generation (`Release`), `unpark`;
+//! 4. `park` until the countdown reads 0 (`Acquire`).
+//!
+//! Worker side: `park` until the generation word differs from the last
+//! one served (`Acquire`), execute the block, stamp the elapsed time,
+//! **drop the link table**, decrement the countdown (`AcqRel`); whoever
+//! takes it to 0 unparks the dispatcher.
+//!
+//! *Orderings.* The generation `Release`/`Acquire` pair publishes the
+//! countdown reset and every `Relaxed` link-table write the dispatcher
+//! made since the last merge. The countdown decrements are read-modify-
+//! write operations on one word, so they form a release sequence: the
+//! dispatcher's `Acquire` load of 0 sees every worker's `Relaxed` splice
+//! writes and elapsed stamp. The job slot itself is a `Mutex` (the crate
+//! forbids `unsafe`); it is never contended — the dispatcher fills it
+//! while the worker is parked on the old generation.
+//!
+//! *Wake-ups.* Both wait loops re-check their word after every `park`:
+//! `park` may return spuriously, and the last worker of generation *g*
+//! may deliver its `unpark` after the dispatcher has already seen 0, so
+//! the token surfaces during generation *g + 1*. A lost wake-up is
+//! impossible: each side stores its word *before* it unparks, and an
+//! `unpark` that arrives before the `park` makes that `park` return.
+//!
+//! *No spin.* A prototype of exactly this protocol on the 2-core
+//! reference box, driver and workers sharing one CPU as `wide_resume`
+//! pins them (2 workers, 36 two-store splices), measured p50 per merge:
+//!
+//! | hand-off | p50 |
+//! |---|---|
+//! | spawn + join scoped threads per merge (what this replaced) | 40.1 µs |
+//! | park/unpark, no spin | 4.1 µs |
+//! | 64-iteration `spin_loop`, then park | 7.8 µs |
+//! | 2 000-iteration `spin_loop`, then park | 96 µs |
+//!
+//! A spinning waiter holds the CPU the other side needs, so every spin
+//! iteration is pure delay there. The pool therefore parks at once.
+//!
+//! *Lifetimes.* A worker outlives every borrow, so it touches nothing
+//! borrowed. The arena's `next` words are reference-counted
+//! ([`LinkTable`]); the worker drops its clone before it decrements the
+//! countdown, so once [`SplicePool::run`] returns only the arena holds
+//! the table and `Arena::alloc` may replace it with a larger one. The
+//! plan's tables are not shared at all: the dispatcher copies each
+//! worker's splices, anchors resolved to nodes, into a buffer the slot
+//! keeps (24 bytes per splice, no allocation once warm). Lending the
+//! tables by reference count instead was measured: the plan's pause-time
+//! mutators then each pay an exclusivity check (`Arc::make_mut`, a locked
+//! compare-exchange), seven per warm invoke on the *inline* path, ≈ 45 ns
+//! of `ull_seq`'s 1.15 µs — against 45 ns of copying at 36 splices
+//! (135 ns at 144) on a 5 µs dispatch that only parallel pools pay. Dropping the pool publishes a
+//! shutdown generation and joins every worker.
 //!
 //! Two properties are load-bearing:
 //!
-//! * **The default pool is inline.** A pool with one worker executes the
-//!   staged blocks on the calling thread without spawning — the warm
-//!   invoke path keeps its zero-allocation, no-syscall profile and the
-//!   throughput floor holds. Parallel dispatch is opt-in per VMM
+//! * **The default pool is inline.** A pool with one worker has no
+//!   threads and executes the staged blocks on the calling thread — the
+//!   warm invoke path keeps its zero-allocation, no-syscall profile and
+//!   the throughput floor holds. Parallel dispatch is opt-in per VMM
 //!   ([`SplicePool::parallel`]), used by the benches and tests that
-//!   measure real concurrency.
+//!   measure real concurrency; it allocates nothing per merge either.
 //! * **Dispatch cost is independent of the splice count.** A parallel
-//!   pool always dispatches exactly `workers` threads, even when some
-//!   blocks are empty, so a 1-splice resume and a 144-splice resume pay
-//!   the same fixed dispatch overhead — the wall-clock analogue of the
-//!   paper's O(1) claim, which `bench_suite --wall-clock-resume` gates.
+//!   pool always hands a job to every worker, even when some blocks are
+//!   empty, so a 1-splice resume and a 144-splice resume pay the same
+//!   fixed hand-off — the wall-clock analogue of the paper's O(1) claim,
+//!   which `bench_suite --wall-clock-resume` gates.
 //!
 //! Virtual-axis accounting never touches this module: the cost model
 //! charges `horse_merge_ns(splices, parallel)` from the *plan's* splice
-//! count, and the merge report / arena counters are produced by the same
-//! `MergePlan` methods in every execution strategy, so enabling the pool
-//! cannot move a single `*_ns` leaf.
+//! count, the merge report comes from `finish_staged` in every execution
+//! strategy, and the workers' pointer writes are booked on the arena's
+//! counter after the join, so enabling the pool cannot move a single
+//! `*_ns` leaf.
 //!
 //! [`MergePlan::stage`]: horse_core::MergePlan::stage
 //! [`Vmm::set_wake_emulation_nanos`]: crate::Vmm::set_wake_emulation_nanos
+//! [`Thread`]: std::thread::Thread
 
-use horse_core::{Arena, SpliceBlock, StagedMerge};
+use horse_core::{Arena, DetachedBlock, LinkTable, StagedMerge};
 use horse_sched::SpliceWatchdog;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Default wall-clock straggler budget: 5 ms. Generous — real splice
@@ -43,19 +112,95 @@ use std::time::{Duration, Instant};
 /// workers. Observational only (see [`SpliceWatchdog::supervise_wall`]).
 pub const DEFAULT_WALL_BUDGET_NANOS: u64 = 5_000_000;
 
-/// Explicit per-worker scratch slot.
-///
-/// Every worker owns exactly one slot for the duration of a dispatch —
-/// slot `w` belongs to worker `w`, never shared, never recycled across
-/// concurrently-running workers (the fix for the one-merge-at-a-time
-/// assumption the shared scratch buffers used to bake in). The slot
-/// outlives the dispatch so the pool can read the measurements after the
-/// join without an allocation.
+/// Generation value that tells a worker to exit (never reached by
+/// counting: the dispatcher increments from 0).
+const SHUTDOWN: u64 = u64::MAX;
+
+/// What one worker needs for one merge. The block buffer stays in the
+/// slot and is refilled per merge; the link table is lent per merge.
+#[derive(Debug, Default)]
+struct Job {
+    block: DetachedBlock,
+    /// `Some` from publication until the worker is done with it.
+    links: Option<LinkTable>,
+    wake_nanos_per_vcpu: u64,
+}
+
+/// Per-worker hand-off state: slot `w` belongs to worker `w`, never
+/// shared between workers.
 #[derive(Debug, Default)]
 struct WorkerSlot {
+    /// Bumped by the dispatcher once `job` is filled; the worker serves
+    /// each value once.
+    generation: AtomicU64,
+    job: Mutex<Job>,
     /// Wall-clock nanoseconds the worker spent on its block (written by
     /// the owning worker, read by the pool after the join).
     elapsed_nanos: AtomicU64,
+}
+
+/// State shared between the pool and its workers.
+#[derive(Debug)]
+struct Shared {
+    slots: Box<[WorkerSlot]>,
+    /// Workers that have not finished the current generation.
+    remaining: AtomicUsize,
+    /// The thread parked in [`SplicePool::run`] (set per dispatch).
+    dispatcher: Mutex<Option<Thread>>,
+    /// A worker body panicked during the current generation.
+    panicked: AtomicBool,
+}
+
+/// Locks a hand-off mutex. A holder that panics leaves a value the next
+/// holder overwrites or tolerates (a refilled block, a `None` link table),
+/// so a guard recovered from poisoning is as good as a clean one.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Body of worker `w` (see the module docs for the protocol).
+fn worker_loop(shared: &Shared, w: usize) {
+    let slot = &shared.slots[w];
+    let mut served = 0;
+    loop {
+        let generation = loop {
+            let generation = slot.generation.load(Ordering::Acquire);
+            if generation != served {
+                break generation;
+            }
+            thread::park();
+        };
+        if generation == SHUTDOWN {
+            return;
+        }
+        served = generation;
+        // The link table is taken and dropped inside the closure,
+        // unwinding or not: it is back before the countdown moves.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut job = lock(&slot.job);
+            let links = job
+                .links
+                .take()
+                .expect("a published generation carries a job");
+            let t0 = Instant::now();
+            job.block.execute_on(&links);
+            let block = &job.block;
+            emulate_wakes(
+                (0..block.len()).map(|i| block.sub_len(i)),
+                job.wake_nanos_per_vcpu,
+            );
+            t0.elapsed().as_nanos() as u64
+        }));
+        match outcome {
+            Ok(nanos) => slot.elapsed_nanos.store(nanos, Ordering::Relaxed),
+            Err(_) => shared.panicked.store(true, Ordering::Relaxed),
+        }
+        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            if let Some(dispatcher) = lock(&shared.dispatcher).as_ref() {
+                dispatcher.unpark();
+            }
+        }
+    }
 }
 
 /// Cumulative counters of a [`SplicePool`] — the pool's observability
@@ -84,9 +229,10 @@ pub struct SpliceRun {
 
 /// Reusable worker pool executing staged 𝒫²𝒮ℳ merges (see the module
 /// docs). The pool object persists across resumes on its owning [`Vmm`]:
-/// worker slots and measurement scratch are allocated once at
-/// construction, so a steady-state resume loop performs no pool-side
-/// heap allocation in either mode.
+/// worker threads, hand-off slots and measurement scratch are created
+/// once at construction, so a steady-state resume loop performs no
+/// pool-side heap allocation in either mode. Dropping the pool joins its
+/// workers.
 ///
 /// [`Vmm`]: crate::Vmm
 #[derive(Debug)]
@@ -96,8 +242,11 @@ pub struct SplicePool {
     /// Force inline execution regardless of `workers` (the
     /// `--serial-splice` self-test lever).
     serial: bool,
-    /// One explicit scratch slot per worker (see [`WorkerSlot`]).
-    slots: Vec<WorkerSlot>,
+    shared: Arc<Shared>,
+    /// One parked thread per slot (none for a width-1 pool).
+    threads: Vec<JoinHandle<()>>,
+    /// Last generation published.
+    generation: u64,
     /// Join-time measurement buffer, reused across dispatches.
     elapsed_scratch: Vec<u64>,
     /// Wall budget fed to [`SpliceWatchdog::supervise_wall`].
@@ -113,29 +262,45 @@ impl Default for SplicePool {
 
 impl SplicePool {
     /// The default pool: staged blocks execute on the calling thread, no
-    /// threads are spawned. This is what every [`Vmm`] starts with.
+    /// threads exist. This is what every [`Vmm`] starts with.
     ///
     /// [`Vmm`]: crate::Vmm
     pub fn inline() -> Self {
-        Self {
-            workers: 1,
-            serial: false,
-            slots: Vec::new(),
-            elapsed_scratch: Vec::new(),
-            wall_budget_nanos: DEFAULT_WALL_BUDGET_NANOS,
-            stats: SplicePoolStats::default(),
-        }
+        Self::parallel(1)
     }
 
-    /// A pool that dispatches exactly `workers` real threads per merge
-    /// (clamped to at least 1; 1 behaves like [`Self::inline`]).
+    /// A pool that owns `workers` parked threads (`horse-splice-<w>`) and
+    /// hands every merge to all of them (clamped to at least 1; 1 spawns
+    /// nothing and is [`Self::inline`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses to create a thread.
     pub fn parallel(workers: usize) -> Self {
         let workers = workers.max(1);
+        let threaded = if workers > 1 { workers } else { 0 };
+        let shared = Arc::new(Shared {
+            slots: (0..threaded).map(|_| WorkerSlot::default()).collect(),
+            remaining: AtomicUsize::new(0),
+            dispatcher: Mutex::new(None),
+            panicked: AtomicBool::new(false),
+        });
+        let threads = (0..threaded)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                thread::Builder::new()
+                    .name(format!("horse-splice-{w}"))
+                    .spawn(move || worker_loop(&shared, w))
+                    .expect("spawn a splice worker thread")
+            })
+            .collect();
         Self {
             workers,
             serial: false,
-            slots: (0..workers).map(|_| WorkerSlot::default()).collect(),
-            elapsed_scratch: Vec::with_capacity(workers),
+            shared,
+            threads,
+            generation: 0,
+            elapsed_scratch: Vec::with_capacity(threaded),
             wall_budget_nanos: DEFAULT_WALL_BUDGET_NANOS,
             stats: SplicePoolStats::default(),
         }
@@ -179,6 +344,13 @@ impl SplicePool {
     /// merged vCPU of each splice it executes (the wake-IPI emulation the
     /// wall-clock bench measures); 0 — the default — skips the sleeps
     /// entirely, so nothing changes for virtual-axis callers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the staged plan is corrupt (an anchor outside `arrayB`:
+    /// before any worker is woken) or does not belong to `arena` (a node
+    /// outside its link table: in a worker, re-raised here once every
+    /// worker has reported). The pool stays usable either way.
     pub fn run<T: Sync>(
         &mut self,
         arena: &Arena<T>,
@@ -190,36 +362,56 @@ impl SplicePool {
         let run = if self.is_inline() {
             let block = staged.block(0, 1);
             block.execute(arena);
-            wake_block(&block, wake_nanos_per_vcpu);
+            emulate_wakes(
+                (0..block.len()).map(|i| block.sub_len(i)),
+                wake_nanos_per_vcpu,
+            );
             SpliceRun {
                 dispatched_workers: 0,
                 wall_overruns: 0,
             }
         } else {
-            // Always dispatch the full width — empty blocks included —
+            // Always hand a job to every worker — empty blocks included —
             // so the dispatch cost is a constant of the pool, not of the
             // splice count (the wall-clock O(1) property under test).
             let workers = self.workers;
-            let slots = &self.slots[..workers];
-            std::thread::scope(|scope| {
-                for (w, slot) in slots.iter().enumerate() {
-                    let block = staged.block(w, workers);
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        block.execute(arena);
-                        wake_block(&block, wake_nanos_per_vcpu);
-                        slot.elapsed_nanos
-                            .store(t0.elapsed().as_nanos() as u64, Ordering::Release);
-                    });
+            let shared = &*self.shared;
+            // Copy every block before publishing any: resolving a block
+            // of a corrupt plan can panic, and must then leave no worker
+            // running on behalf of a `run` that has unwound.
+            for (w, slot) in shared.slots.iter().enumerate() {
+                staged
+                    .block(w, workers)
+                    .detach_into(&mut lock(&slot.job).block);
+            }
+            *lock(&shared.dispatcher) = Some(thread::current());
+            shared.remaining.store(workers, Ordering::Relaxed);
+            self.generation += 1;
+            for (slot, handle) in shared.slots.iter().zip(&self.threads) {
+                {
+                    let mut job = lock(&slot.job);
+                    job.links = Some(arena.link_table());
+                    job.wake_nanos_per_vcpu = wake_nanos_per_vcpu;
                 }
-            });
+                slot.generation.store(self.generation, Ordering::Release);
+                handle.thread().unpark();
+            }
+            while shared.remaining.load(Ordering::Acquire) != 0 {
+                thread::park();
+            }
+            arena.count_pointer_writes(2 * staged.node_splice_count() as u64);
+            assert!(
+                !shared.panicked.swap(false, Ordering::Relaxed),
+                "a splice worker thread panicked"
+            );
             self.stats.parallel_merges += 1;
             self.stats.dispatched_workers += workers as u64;
             self.elapsed_scratch.clear();
             self.elapsed_scratch.extend(
-                slots
+                shared
+                    .slots
                     .iter()
-                    .map(|s| s.elapsed_nanos.load(Ordering::Acquire)),
+                    .map(|s| s.elapsed_nanos.load(Ordering::Relaxed)),
             );
             let rescue = watchdog.supervise_wall(&self.elapsed_scratch, self.wall_budget_nanos);
             self.stats.wall_overruns += rescue.rescued_splices as u64;
@@ -239,17 +431,28 @@ impl SplicePool {
     }
 }
 
+impl Drop for SplicePool {
+    fn drop(&mut self) {
+        for (slot, handle) in self.shared.slots.iter().zip(&self.threads) {
+            slot.generation.store(SHUTDOWN, Ordering::Release);
+            handle.thread().unpark();
+        }
+        for handle in self.threads.drain(..) {
+            // A worker body catches its own panics; nothing to report.
+            let _ = handle.join();
+        }
+    }
+}
+
 /// Emulated wake IPIs for one executed block: one sleep per splice,
 /// scaled by the sub-list's vCPU count (serial per worker — exactly the
 /// work a kernel splice worker does when it wakes its merged vCPUs).
-fn wake_block(block: &SpliceBlock<'_>, wake_nanos_per_vcpu: u64) {
+fn emulate_wakes(sub_lens: impl Iterator<Item = usize>, wake_nanos_per_vcpu: u64) {
     if wake_nanos_per_vcpu == 0 {
         return;
     }
-    for i in 0..block.len() {
-        std::thread::sleep(Duration::from_nanos(
-            wake_nanos_per_vcpu * block.sub_len(i) as u64,
-        ));
+    for sub_len in sub_lens {
+        std::thread::sleep(Duration::from_nanos(wake_nanos_per_vcpu * sub_len as u64));
     }
 }
 
@@ -310,6 +513,49 @@ mod tests {
         }
         plan.finish_staged(&arena, &mut b);
         assert_eq!(b.keys(&arena), vec![10, 20, 30, 40]);
+    }
+
+    #[test]
+    fn workers_are_created_once_and_named() {
+        assert!(SplicePool::inline().threads.is_empty());
+        assert!(SplicePool::parallel(1).threads.is_empty());
+        let mut pool = SplicePool::parallel(3);
+        let ids = |pool: &SplicePool| -> Vec<_> {
+            pool.threads.iter().map(|h| h.thread().id()).collect()
+        };
+        let created = ids(&pool);
+        for _ in 0..5 {
+            merge_with(&mut pool);
+        }
+        assert_eq!(ids(&pool), created, "no thread is spawned per merge");
+        assert_eq!(pool.generation, 5);
+        let names: Vec<_> = pool.threads.iter().map(|h| h.thread().name()).collect();
+        assert_eq!(
+            names,
+            [
+                Some("horse-splice-0"),
+                Some("horse-splice-1"),
+                Some("horse-splice-2")
+            ]
+        );
+    }
+
+    #[test]
+    fn spurious_and_stale_unparks_neither_skip_nor_repeat_a_merge() {
+        // A token left on a worker or on the dispatcher makes its next
+        // `park` return at once; each side must then re-check its word.
+        let mut pool = SplicePool::parallel(2);
+        for _ in 0..500 {
+            for handle in &pool.threads {
+                handle.thread().unpark();
+            }
+            thread::current().unpark();
+            assert_eq!(
+                merge_with(&mut pool),
+                vec![5, 10, 20, 30, 40, 50, 60, 70, 80]
+            );
+        }
+        assert_eq!(pool.stats().dispatched_workers, 1000);
     }
 
     #[test]

@@ -951,8 +951,8 @@ impl Vmm {
                     self.sched.ull_merge_recycling(rq, plan, splice_mode)?
                 } else {
                     // Clean path: stage the splice and execute it on the
-                    // VMM's worker pool — real scoped threads when the
-                    // pool is parallel, the calling thread by default.
+                    // VMM's worker pool — its parked worker threads when
+                    // the pool is parallel, the calling thread by default.
                     // `ull_finish_staged` emits the same telemetry and
                     // report as `ull_merge_recycling`, so the two
                     // execution strategies are indistinguishable on the
@@ -1324,16 +1324,15 @@ impl Vmm {
         if let Some(sb) = self.sandboxes.get_mut(&popped.1.sandbox.as_u64()) {
             sb.placements.retain(|p| p.vcpu.id != popped.1.id);
         }
-        let ids = self.paused_on_rq.get(&rq).cloned().unwrap_or_default();
-        for sid in ids {
-            let sb = self.sandboxes.get_mut(&sid.as_u64()).expect("registered");
+        self.for_each_paused_on(rq, None, |vmm, sid| {
+            let sb = vmm.sandboxes.get_mut(&sid.as_u64()).expect("registered");
             if let Some(state) = sb.paused.as_mut() {
                 if let Some(plan) = state.plan.as_mut() {
-                    plan.on_b_pop_front(self.sched.arena(), self.sched.queue_list(rq));
-                    sb.maintenance_ns += self.cost.plan_update_pop_ns.round() as u64;
+                    plan.on_b_pop_front(vmm.sched.arena(), vmm.sched.queue_list(rq));
+                    sb.maintenance_ns += vmm.cost.plan_update_pop_ns.round() as u64;
                 }
             }
-        }
+        });
         Some(popped)
     }
 
@@ -1516,36 +1515,45 @@ impl Vmm {
     ) -> horse_core::NodeRef {
         let node = self.sched.enqueue_vcpu(rq, credit, vcpu);
         let at_tail = self.sched.queue_list(rq).tail() == Some(node);
-        let ids = self.paused_on_rq.get(&rq).cloned().unwrap_or_default();
-        for sid in ids {
-            if Some(sid) == exclude {
-                continue;
-            }
+        self.for_each_paused_on(rq, exclude, |vmm, sid| {
             if at_tail {
-                let sb = self.sandboxes.get_mut(&sid.as_u64()).expect("registered");
+                let sb = vmm.sandboxes.get_mut(&sid.as_u64()).expect("registered");
                 if let Some(state) = sb.paused.as_mut() {
                     if let Some(plan) = state.plan.as_mut() {
-                        plan.on_b_push_back(self.sched.arena(), self.sched.queue_list(rq), node);
-                        sb.maintenance_ns += self.cost.plan_update_pop_ns.round() as u64;
+                        plan.on_b_push_back(vmm.sched.arena(), vmm.sched.queue_list(rq), node);
+                        sb.maintenance_ns += vmm.cost.plan_update_pop_ns.round() as u64;
                     }
                 }
             } else {
-                self.rebuild_plan_for(sid, rq);
+                vmm.rebuild_plan_for(sid, rq);
             }
-        }
+        });
         node
+    }
+
+    /// Calls `f` for every paused sandbox holding a plan against `rq`,
+    /// except `exclude`. The id list is lent out of the map for the walk
+    /// rather than cloned — this runs on every uLL pause and resume, which
+    /// must not allocate — so `f` must not register sandboxes on `rq`.
+    fn for_each_paused_on(
+        &mut self,
+        rq: RqId,
+        exclude: Option<SandboxId>,
+        mut f: impl FnMut(&mut Self, SandboxId),
+    ) {
+        let Some(ids) = self.paused_on_rq.get_mut(&rq).map(std::mem::take) else {
+            return;
+        };
+        for &sid in ids.iter().filter(|sid| Some(**sid) != exclude) {
+            f(self, sid);
+        }
+        *self.paused_on_rq.get_mut(&rq).expect("entry lent above") = ids;
     }
 
     /// Rebuilds the plans of every paused sandbox assigned to `rq`
     /// (except `exclude`), charging the cost as maintenance.
     fn rebuild_plans_on(&mut self, rq: RqId, exclude: Option<SandboxId>) {
-        let ids = self.paused_on_rq.get(&rq).cloned().unwrap_or_default();
-        for sid in ids {
-            if Some(sid) == exclude {
-                continue;
-            }
-            self.rebuild_plan_for(sid, rq);
-        }
+        self.for_each_paused_on(rq, exclude, |vmm, sid| vmm.rebuild_plan_for(sid, rq));
     }
 
     fn rebuild_plan_for(&mut self, sid: SandboxId, rq: RqId) {
