@@ -47,7 +47,10 @@
 //!   that gate (CI's negative self-test). The same run repeats the sweep
 //!   with **no** emulated wake, inline against parallel (`zero_wake`
 //!   section, same growth gate), and prints the vCPU count from which
-//!   the parallel splice beats inline, if any.
+//!   the parallel splice beats inline, if any. Its `peers` section holds
+//!   the vCPU count at 2 and sweeps the number of *other* sandboxes
+//!   paused on the same uLL queue (0–63), gating that a warm resume
+//!   costs the same beside 63 paused peers as alone (< 2×).
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -62,7 +65,7 @@ use horse_metrics::{Histogram, RobustSummary, TailAttribution};
 use horse_telemetry::forensics::{chrome_trace_with_flows, ForensicIndex, SpanTree};
 use horse_telemetry::json::{self, JsonValue};
 use horse_telemetry::{Recorder, TraceSnapshot};
-use horse_vmm::{CostModel, ResumeMode, ResumeStep, SandboxConfig, SplicePool, Vmm};
+use horse_vmm::{CostModel, PausePolicy, ResumeMode, ResumeStep, SandboxConfig, SplicePool, Vmm};
 use horse_workloads::Category;
 
 const SCHEMA_RESUME: &str = "horse-bench/resume/1";
@@ -468,26 +471,76 @@ fn wall_growth(points: &[WallPoint]) -> f64 {
     last / first.max(f64::MIN_POSITIVE)
 }
 
-/// JSON section of one mode's sweep. Keys use `_nanos` (never `_ns`):
+/// JSON of one wall-clock point. Keys use `_nanos` (never `_ns`):
 /// wall-clock numbers are machine-dependent and must stay invisible to
 /// the deterministic baseline gate's leaf scan.
+fn wall_point_json(summary: &RobustSummary) -> JsonValue {
+    obj(vec![
+        ("resume_mean_nanos".into(), num(summary.mean)),
+        ("resume_median_nanos".into(), num(summary.median)),
+        ("resume_min_nanos".into(), num(summary.min)),
+        ("resume_max_nanos".into(), num(summary.max)),
+        ("samples_kept".into(), num(summary.kept as f64)),
+        ("samples_rejected".into(), num(summary.rejected as f64)),
+    ])
+}
+
+/// JSON section of one mode's sweep.
 fn wall_mode_json(points: &[WallPoint]) -> JsonValue {
     let mut map = BTreeMap::new();
     for p in points {
-        map.insert(
-            format!("v{}", p.vcpus),
-            obj(vec![
-                ("resume_mean_nanos".into(), num(p.summary.mean)),
-                ("resume_median_nanos".into(), num(p.summary.median)),
-                ("resume_min_nanos".into(), num(p.summary.min)),
-                ("resume_max_nanos".into(), num(p.summary.max)),
-                ("samples_kept".into(), num(p.summary.kept as f64)),
-                ("samples_rejected".into(), num(p.summary.rejected as f64)),
-            ]),
-        );
+        map.insert(format!("v{}", p.vcpus), wall_point_json(&p.summary));
     }
     map.insert("growth_144_over_1".to_string(), num(wall_growth(points)));
     JsonValue::Object(map)
+}
+
+/// Paused-peer counts of the `peers` sweep: sandboxes paused on the same
+/// uLL queue as the measured one, each holding a 𝒫²𝒮ℳ plan against it.
+const PEER_COUNTS: [usize; 4] = [0, 3, 15, 63];
+/// Measured resume → pause cycles per `peers` point (a resume is a few
+/// hundred nanoseconds).
+const PEER_CYCLES: usize = 2_000;
+/// A warm resume must not depend on how many sandboxes are paused beside
+/// it. Before peer-plan maintenance went lazy, every resume rebuilt every
+/// peer's plan and this ratio was ≈ linear in the peer count.
+const PEER_GROWTH_BOUND: f64 = 2.0;
+
+/// Real inline HORSE resume latencies of a 2-vCPU sandbox over
+/// [`PEER_CYCLES`] warm resume → pause cycles, with `peers` other 2-vCPU
+/// sandboxes paused on the same uLL queue throughout.
+fn peers_resume_samples(cost: &CostModel, peers: usize) -> Vec<f64> {
+    let mut vmm = Vmm::new(paper_sched_config(), *cost);
+    let config = SandboxConfig::builder()
+        .vcpus(2)
+        .memory_mb(512)
+        .ull(true)
+        .build()
+        .expect("static config is valid");
+    // The peers, then the measured sandbox.
+    let paused: Vec<_> = (0..=peers)
+        .map(|_| {
+            let id = vmm.create(config);
+            vmm.start(id).expect("fresh sandbox starts");
+            vmm.pause(id, PausePolicy::horse())
+                .expect("running sandbox pauses");
+            id
+        })
+        .collect();
+    let measured = paused[peers];
+    let mut samples = Vec::with_capacity(PEER_CYCLES);
+    for cycle in 0..=PEER_CYCLES {
+        let t0 = Instant::now();
+        vmm.resume(measured, ResumeMode::Horse)
+            .expect("paused sandbox resumes");
+        let nanos = t0.elapsed().as_nanos() as f64;
+        vmm.pause(measured, PausePolicy::horse())
+            .expect("running sandbox pauses");
+        if cycle > 0 {
+            samples.push(nanos);
+        }
+    }
+    samples
 }
 
 /// Seeded cluster soak: warm (vanilla resume) and horse invocations on a
@@ -1321,6 +1374,41 @@ fn main() {
             ),
         }
 
+        // O(1) in paused peers: the same 2-vCPU warm resume beside 0–63
+        // sandboxes paused on its queue.
+        let peers: Vec<(usize, RobustSummary)> = PEER_COUNTS
+            .iter()
+            .map(|&p| (p, RobustSummary::of(&peers_resume_samples(&cost, p))))
+            .collect();
+        for (p, summary) in &peers {
+            println!(
+                "wallclock: horse inline v2 beside {p:>2} paused peers -> mean {:>8.0} ns \
+                 (median {:.0}, {} kept / {} rejected)",
+                summary.mean, summary.median, summary.kept, summary.rejected
+            );
+        }
+        let alone = peers[0].1.mean.max(f64::MIN_POSITIVE);
+        let peers_growth = peers[peers.len() - 1].1.mean / alone;
+        let most = PEER_COUNTS[PEER_COUNTS.len() - 1];
+        if peers_growth < PEER_GROWTH_BOUND {
+            println!(
+                "wallclock gate: resume beside {most} paused peers is {peers_growth:.2}x \
+                 the lone resume (O(1) in peers, < {PEER_GROWTH_BOUND}x)"
+            );
+        } else {
+            wall_failures.push(format!(
+                "resume beside {most} paused peers is {peers_growth:.2}x the lone resume \
+                 (gate: < {PEER_GROWTH_BOUND}x) — peer plans are being rebuilt on the resume path"
+            ));
+        }
+        let mut peers_json: BTreeMap<String, JsonValue> = peers
+            .iter()
+            .map(|(p, summary)| (format!("p{p}"), wall_point_json(summary)))
+            .collect();
+        peers_json.insert("cycles".into(), num(PEER_CYCLES as f64));
+        peers_json.insert("growth_bound".into(), num(PEER_GROWTH_BOUND));
+        peers_json.insert(format!("growth_{most}_over_0"), num(peers_growth));
+
         let wall_doc = obj(vec![
             ("schema".into(), JsonValue::String(SCHEMA_WALLCLOCK.into())),
             ("git_sha".into(), JsonValue::String(sha.clone())),
@@ -1348,6 +1436,7 @@ fn main() {
                     ),
                 ]),
             ),
+            ("peers".into(), JsonValue::Object(peers_json)),
         ]);
         let wall_path = format!("{}/BENCH_wallclock.json", opts.out);
         write_json(&wall_path, &wall_doc);

@@ -11,10 +11,11 @@
 //! CI asserts this for every mutation — the harness's negative control.
 
 use horse_check::{
-    check_linearizable_bounded, coalesce_oracle_case, explore, explore_handoff, explore_ring,
-    explore_splice, merge_oracle_case, run_pool_trajectory, vmm_differential_case, Event,
-    ExploreConfig, HandoffExploreConfig, History, LinearizeError, Mutation, PoolOp, PoolResult,
-    RingExploreConfig, SchedulePolicy, SpliceExploreConfig, TickSource,
+    check_linearizable_bounded, coalesce_oracle_case, explore, explore_handoff, explore_resident,
+    explore_ring, explore_splice, merge_oracle_case, run_pool_trajectory, vmm_differential_case,
+    Event, ExploreConfig, HandoffExploreConfig, History, LinearizeError, Mutation, PoolOp,
+    PoolResult, ResidentExploreConfig, RingExploreConfig, SchedulePolicy, SpliceExploreConfig,
+    TickSource,
 };
 use horse_faas::{KeepAlive, ShardedWarmPool};
 use horse_sched::SandboxId;
@@ -37,7 +38,7 @@ OPTIONS:
     --mutate NAME  Plant a known bug; the run must fail. Names:
                    splice-misorder, stale-plan, coalesce-off-by-one,
                    nonlinearizable-pool, splice-worker-misorder,
-                   splice-handoff-early-join.
+                   splice-handoff-early-join, resident-skips-settle.
     --help         Show this help.";
 
 struct Suite {
@@ -51,6 +52,34 @@ impl Suite {
         println!("FAIL [{section}] {detail}");
         println!("  replay: check_suite --seed {}", self.seed);
         self.failures.push(format!("#{n} [{section}]"));
+    }
+
+    /// Runs one stepped explorer under every schedule policy on three
+    /// consecutive seeds; each violation fails `section`, reported with
+    /// the `(violation, decisions)` pair needed to replay it.
+    fn explore_schedules(
+        &mut self,
+        section: &str,
+        label: &str,
+        run: impl Fn(SchedulePolicy, u64) -> (Option<String>, Vec<usize>),
+    ) {
+        for policy in [
+            SchedulePolicy::RoundRobin,
+            SchedulePolicy::Random,
+            SchedulePolicy::Pct { depth: 3 },
+        ] {
+            for i in 0..3u64 {
+                let seed = self.seed.wrapping_add(i);
+                if let (Some(v), decisions) = run(policy, seed) {
+                    self.fail(
+                        section,
+                        format!(
+                            "{label}policy {policy} seed {seed}: {v}\n  schedule decisions: {decisions:?}"
+                        ),
+                    );
+                }
+            }
+        }
     }
 
     fn section<F: FnMut(&mut Suite)>(&mut self, name: &str, mut f: F) {
@@ -262,25 +291,10 @@ fn main() {
     // 4. Deterministic interleaving exploration of the sharded pool.
     suite.section("explore", |s| {
         let cfg = ExploreConfig::default();
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::Random,
-            SchedulePolicy::Pct { depth: 3 },
-        ] {
-            for i in 0..3u64 {
-                let esee = s.seed.wrapping_add(i);
-                let r = explore(&cfg, policy, esee);
-                if let Some(v) = r.violation {
-                    s.fail(
-                        "explore",
-                        format!(
-                            "policy {policy} seed {esee}: {v}\n  schedule decisions: {:?}",
-                            r.decisions
-                        ),
-                    );
-                }
-            }
-        }
+        s.explore_schedules("explore", "", |policy, seed| {
+            let r = explore(&cfg, policy, seed);
+            (r.violation, r.decisions)
+        });
     });
 
     // 4b. Deterministic interleaving exploration of the batched invoke
@@ -288,25 +302,10 @@ fn main() {
     //    producer, full/empty edges honest.
     suite.section("ring-explore", |s| {
         let cfg = RingExploreConfig::default();
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::Random,
-            SchedulePolicy::Pct { depth: 3 },
-        ] {
-            for i in 0..3u64 {
-                let esee = s.seed.wrapping_add(i);
-                let r = explore_ring(&cfg, policy, esee);
-                if let Some(v) = r.violation {
-                    s.fail(
-                        "ring-explore",
-                        format!(
-                            "policy {policy} seed {esee}: {v}\n  schedule decisions: {:?}",
-                            r.decisions
-                        ),
-                    );
-                }
-            }
-        }
+        s.explore_schedules("ring-explore", "", |policy, seed| {
+            let r = explore_ring(&cfg, policy, seed);
+            (r.violation, r.decisions)
+        });
     });
 
     // 4c. Deterministic interleaving exploration of the real 𝒫²𝒮ℳ
@@ -326,35 +325,31 @@ fn main() {
             plant_early_join: mutation == Some(Mutation::SpliceHandoffEarlyJoin),
             ..HandoffExploreConfig::default()
         };
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::Random,
-            SchedulePolicy::Pct { depth: 3 },
-        ] {
-            for i in 0..3u64 {
-                let esee = s.seed.wrapping_add(i);
-                let r = explore_splice(&cfg, policy, esee);
-                if let Some(v) = r.violation {
-                    s.fail(
-                        "splice-explore",
-                        format!(
-                            "policy {policy} seed {esee}: {v}\n  schedule decisions: {:?}",
-                            r.decisions
-                        ),
-                    );
-                }
-                let r = explore_handoff(&handoff_cfg, policy, esee);
-                if let Some(v) = r.violation {
-                    s.fail(
-                        "splice-explore",
-                        format!(
-                            "hand-off, policy {policy} seed {esee}: {v}\n  schedule decisions: {:?}",
-                            r.decisions
-                        ),
-                    );
-                }
-            }
-        }
+        s.explore_schedules("splice-explore", "", |policy, seed| {
+            let r = explore_splice(&cfg, policy, seed);
+            (r.violation, r.decisions)
+        });
+        s.explore_schedules("splice-explore", "hand-off, ", |policy, seed| {
+            let r = explore_handoff(&handoff_cfg, policy, seed);
+            (r.violation, r.decisions)
+        });
+    });
+
+    // 4d. Deterministic interleaving exploration of lazy plan
+    //    maintenance: drivers sharing one Vmm step their resume → work →
+    //    pause cycles one operation at a time; every plan must match its
+    //    queue minus the resident after each step and no resume may fall
+    //    back. `--mutate resident-skips-settle` plants a `start` that
+    //    enqueues beside a resident without settling.
+    suite.section("resident-explore", |s| {
+        let cfg = ResidentExploreConfig {
+            plant_skip_settle: mutation == Some(Mutation::ResidentSkipsSettle),
+            ..ResidentExploreConfig::default()
+        };
+        s.explore_schedules("resident-explore", "", |policy, seed| {
+            let r = explore_resident(&cfg, policy, seed);
+            (r.violation, r.decisions)
+        });
     });
 
     // 5. Linearizability of free-running concurrent histories.

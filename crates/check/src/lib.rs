@@ -28,8 +28,12 @@
 //!   multiset and FIFO order, and a stepped model of the splice pool's
 //!   park/unpark hand-off (no early join, no lost wake-up, every merge
 //!   executed exactly once per worker);
+//! * [`resident_explore`] — the same schedules interleaving several
+//!   drivers' resume → work → pause cycles on one `Vmm`, checking that
+//!   lazy plan maintenance never leaves a plan stale (every operation
+//!   beside a transient resident settles first);
 //!
-//! The harness distrusts itself too: [`mutate`] defines six known bugs
+//! The harness distrusts itself too: [`mutate`] defines seven known bugs
 //! (`check_suite --mutate <name>`) that are planted into the system
 //! under test, and CI asserts each one is caught — a checker that can't
 //! fail its own negative control proves nothing.
@@ -46,6 +50,7 @@ pub mod history;
 pub mod linearize;
 pub mod mutate;
 pub mod reliability_oracle;
+pub mod resident_explore;
 pub mod ring_explore;
 pub mod spec;
 pub mod splice_explore;
@@ -62,6 +67,7 @@ pub use mutate::Mutation;
 pub use reliability_oracle::{
     check_ledgers, run_reliability_scenario, DispositionTally, OracleReport, ReliabilityScenario,
 };
+pub use resident_explore::{explore_resident, ResidentExploration, ResidentExploreConfig};
 pub use ring_explore::{explore_ring, RingExploration, RingExploreConfig};
 pub use spec::{spec_expired, SpecLoad, SpecPool, SpecRunQueue};
 pub use splice_explore::{

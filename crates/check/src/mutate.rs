@@ -42,17 +42,24 @@ pub enum Mutation {
     /// Caught by the stepped hand-off explorer (the join condition reads
     /// true while a worker has not executed its block).
     SpliceHandoffEarlyJoin,
+    /// `Vmm::start` enqueues on a uLL queue without settling it first:
+    /// the plans of the sandboxes paused there are rebuilt against a
+    /// queue that still holds a resident in transit, and go stale when
+    /// it re-pauses. Caught by the stepped resident explorer (a plan
+    /// disagrees with its queue minus the resident).
+    ResidentSkipsSettle,
 }
 
 impl Mutation {
     /// Every mutation, in a fixed order.
-    pub const ALL: [Mutation; 6] = [
+    pub const ALL: [Mutation; 7] = [
         Mutation::SpliceMisorder,
         Mutation::StaleMergePlan,
         Mutation::CoalesceOffByOne,
         Mutation::NonLinearizablePool,
         Mutation::SpliceWorkerMisorder,
         Mutation::SpliceHandoffEarlyJoin,
+        Mutation::ResidentSkipsSettle,
     ];
 
     /// The CLI name (`check_suite --mutate <name>`).
@@ -64,6 +71,7 @@ impl Mutation {
             Mutation::NonLinearizablePool => "nonlinearizable-pool",
             Mutation::SpliceWorkerMisorder => "splice-worker-misorder",
             Mutation::SpliceHandoffEarlyJoin => "splice-handoff-early-join",
+            Mutation::ResidentSkipsSettle => "resident-skips-settle",
         }
     }
 

@@ -93,6 +93,22 @@ pub struct ArenaStats {
     pub frees: u64,
 }
 
+impl std::ops::Sub for ArenaStats {
+    type Output = ArenaStats;
+
+    /// Operations counted between two [`Arena::stats`] snapshots
+    /// (`later - earlier`), for callers that cost one phase without
+    /// resetting the counters under everyone else.
+    fn sub(self, earlier: ArenaStats) -> ArenaStats {
+        ArenaStats {
+            comparisons: self.comparisons - earlier.comparisons,
+            pointer_writes: self.pointer_writes - earlier.pointer_writes,
+            allocs: self.allocs - earlier.allocs,
+            frees: self.frees - earlier.frees,
+        }
+    }
+}
+
 /// A slab arena of list nodes carrying an `i64` sort key and a payload `T`.
 ///
 /// # Example
@@ -369,6 +385,18 @@ mod tests {
         assert_eq!(s.frees, 1);
         // take_stats resets.
         assert_eq!(a.stats(), ArenaStats::default());
+    }
+
+    #[test]
+    fn snapshot_difference_counts_one_phase() {
+        let mut a: Arena<u32> = Arena::new();
+        let n1 = a.alloc(1, 1);
+        let before = a.stats();
+        let n2 = a.alloc(2, 2);
+        a.set_next(n1, Some(n2));
+        let phase = a.stats() - before;
+        assert_eq!((phase.allocs, phase.pointer_writes), (1, 1));
+        assert_eq!(a.stats().allocs, 2, "nothing was reset");
     }
 
     #[test]

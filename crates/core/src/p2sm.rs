@@ -772,6 +772,37 @@ impl MergePlan {
                 return Err(format!("arrayB[{i}] stale"));
             }
         }
+        self.check_splices(arena)
+    }
+
+    /// [`Self::check_consistent`] against `b` as it was before the
+    /// elements matching `merged_since` were inserted: the plan of a
+    /// paused sandbox stays valid while a transient resident's vCPUs sit
+    /// on the queue, because they leave again before anyone splices.
+    pub fn check_consistent_without<T>(
+        &self,
+        arena: &Arena<T>,
+        b: &SortedList,
+        merged_since: impl Fn(&T) -> bool,
+    ) -> Result<(), String> {
+        let base = b
+            .iter(arena)
+            .filter(|(_, _, value)| !merged_since(value))
+            .map(|(node, _, _)| node);
+        if !base.eq(self.array_b.iter().copied()) {
+            return Err("arrayB differs from B minus the excluded elements".into());
+        }
+        if self.b_head != self.array_b.first().copied() {
+            return Err("b_head mismatch".into());
+        }
+        self.check_splices(arena)
+    }
+
+    /// The *A* half of [`Self::check_consistent`]: anchors in range and
+    /// increasing, every sub-list sorted, sized as recorded and inside
+    /// its anchor's key range.
+    #[inline]
+    fn check_splices<T>(&self, arena: &Arena<T>) -> Result<(), String> {
         let mut total = 0usize;
         let mut last_anchor = BEFORE_HEAD - 1;
         for s in &self.splices {
@@ -1071,6 +1102,28 @@ mod tests {
                 c.label()
             );
         }
+    }
+
+    #[test]
+    fn plan_stays_consistent_with_b_minus_transient_elements() {
+        let mut arena = Arena::new();
+        let mut b = build(&mut arena, &[10, 30, 50]);
+        let a = build(&mut arena, &[20, 40]);
+        let plan = MergePlan::precompute(&arena, &b, a);
+        // A transient resident lands at the head, inside and at the tail.
+        for k in [5, 35, 60] {
+            b.insert_sorted(&mut arena, k, -k);
+        }
+        assert!(plan.check_consistent(&arena, &b).is_err());
+        plan.check_consistent_without(&arena, &b, |v| *v < 0)
+            .unwrap();
+        // Excluding too little or too much is caught.
+        assert!(plan
+            .check_consistent_without(&arena, &b, |v| *v == -5)
+            .is_err());
+        assert!(plan
+            .check_consistent_without(&arena, &b, |v| *v < 0 || *v == 10)
+            .is_err());
     }
 
     #[test]

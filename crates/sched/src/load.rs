@@ -13,7 +13,6 @@
 
 use horse_core::{CoalescedUpdate, LoadUpdate};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// PELT decay per 1 ms period: `y` with `y³² = 0.5`, the constant used by
 /// the Linux scheduler since the 2011 per-entity load tracking rework.
@@ -81,9 +80,16 @@ impl LoadTracker {
 /// * HORSE: [`RqLoad::apply_coalesced`] — 1 acquisition, 1 multiply-add.
 #[derive(Debug, Default)]
 pub struct RqLoad {
-    value: Mutex<f64>,
-    lock_acquisitions: AtomicU64,
-    updates: AtomicU64,
+    state: Mutex<LoadState>,
+}
+
+/// The load and the counters of the lock that guards it: the counters
+/// live under that lock, so counting an acquisition is a plain add.
+#[derive(Debug, Default)]
+struct LoadState {
+    value: f64,
+    lock_acquisitions: u64,
+    updates: u64,
 }
 
 impl RqLoad {
@@ -94,8 +100,9 @@ impl RqLoad {
 
     /// Current load value.
     pub fn get(&self) -> f64 {
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        *self.value.lock()
+        let mut s = self.state.lock();
+        s.lock_acquisitions += 1;
+        s.value
     }
 
     /// Vanilla path: applies the per-vCPU update `n` times, acquiring the
@@ -104,11 +111,7 @@ impl RqLoad {
     pub fn apply_per_vcpu(&self, update: LoadUpdate, n: u32) -> f64 {
         let mut last = 0.0;
         for _ in 0..n {
-            self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-            self.updates.fetch_add(1, Ordering::Relaxed);
-            let mut v = self.value.lock();
-            *v = update.apply(*v);
-            last = *v;
+            last = self.update_with(|v| update.apply(v));
         }
         last
     }
@@ -116,37 +119,40 @@ impl RqLoad {
     /// HORSE path: applies a precomputed coalesced update under a single
     /// lock acquisition (paper §4.2).
     pub fn apply_coalesced(&self, coalesced: CoalescedUpdate) -> f64 {
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        let mut v = self.value.lock();
-        *v = coalesced.apply(*v);
-        *v
+        self.update_with(|v| coalesced.apply(v))
     }
 
     /// Decays the load by one PELT period with no new contribution
     /// (`β = 0`); called by the periodic scheduler tick.
     pub fn decay(&self, alpha: f64) -> f64 {
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        let mut v = self.value.lock();
-        *v *= alpha;
-        *v
+        self.update_with(|v| v * alpha)
     }
 
-    /// Number of lock acquisitions so far.
+    /// One counted lock acquisition applying one counted update.
+    fn update_with(&self, f: impl FnOnce(f64) -> f64) -> f64 {
+        let mut s = self.state.lock();
+        s.lock_acquisitions += 1;
+        s.updates += 1;
+        s.value = f(s.value);
+        s.value
+    }
+
+    /// Number of lock acquisitions so far (reading the counters is not
+    /// one).
     pub fn lock_acquisitions(&self) -> u64 {
-        self.lock_acquisitions.load(Ordering::Relaxed)
+        self.state.lock().lock_acquisitions
     }
 
     /// Number of updates applied so far.
     pub fn updates(&self) -> u64 {
-        self.updates.load(Ordering::Relaxed)
+        self.state.lock().updates
     }
 
     /// Resets the counters (not the load), e.g. between experiment runs.
     pub fn reset_counters(&self) {
-        self.lock_acquisitions.store(0, Ordering::Relaxed);
-        self.updates.store(0, Ordering::Relaxed);
+        let mut s = self.state.lock();
+        s.lock_acquisitions = 0;
+        s.updates = 0;
     }
 }
 

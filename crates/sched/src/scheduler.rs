@@ -470,6 +470,12 @@ impl HostScheduler {
         self.arena.take_stats()
     }
 
+    /// The arena's operation counters, left running: cost one phase as
+    /// the difference of two snapshots.
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.arena.stats()
+    }
+
     /// One round of load balancing across the general queues, consuming
     /// the same lock-protected load variable the resume path updates —
     /// the paper's §1: the variable "is used for DVFS **and thread load

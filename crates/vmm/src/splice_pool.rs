@@ -68,10 +68,12 @@
 //! keeps (24 bytes per splice, no allocation once warm). Lending the
 //! tables by reference count instead was measured: the plan's pause-time
 //! mutators then each pay an exclusivity check (`Arc::make_mut`, a locked
-//! compare-exchange), seven per warm invoke on the *inline* path, ≈ 45 ns
-//! of `ull_seq`'s 1.15 µs — against 45 ns of copying at 36 splices
-//! (135 ns at 144) on a 5 µs dispatch that only parallel pools pay. Dropping the pool publishes a
-//! shutdown generation and joins every worker.
+//! compare-exchange) on the *inline* path — seven per warm invoke when
+//! that was measured (six of them peer-plan rebuilds, since made lazy),
+//! ≈ 45 ns of an `ull_seq` invoke that took 1.15 µs then and takes
+//! 0.79 µs now — against 45 ns of copying at 36 splices (135 ns at 144)
+//! on a 5 µs dispatch that only parallel pools pay. Dropping the pool
+//! publishes a shutdown generation and joins every worker.
 //!
 //! Two properties are load-bearing:
 //!

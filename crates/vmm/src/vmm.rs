@@ -9,9 +9,17 @@
 //!   update;
 //! * **resume** (§3.1 / §5.1): the instrumented six-step pipeline in the
 //!   four evaluation setups (`vanil`, `ppsm`, `coal`, `horse`);
-//! * **plan maintenance**: every mutation of an `ull_runqueue` updates the
+//! * **plan maintenance**: a mutation of an `ull_runqueue` updates the
 //!   plans of the paused sandboxes assigned to it, charging the cost to
-//!   their off-critical-path maintenance budget (the §5.2 overhead).
+//!   their off-critical-path maintenance budget (the §5.2 overhead) —
+//!   except the one mutation a warm invoke makes. `resume(X)` merges X's
+//!   vCPUs in and the re-pause takes exactly those nodes out again, so
+//!   the queue every peer's plan was built against comes back node for
+//!   node. `resume` therefore only records X as the queue's *resident*;
+//!   `pause(X)` clears the mark; and any other operation that reads or
+//!   mutates the queue or a plan on it first calls `Vmm::settle`, which
+//!   does the deferred rebuild. A warm invoke costs the same however
+//!   many sandboxes are paused beside it.
 
 use crate::config::SandboxConfig;
 use crate::cost::CostModel;
@@ -24,10 +32,12 @@ use horse_core::{
     MergeReport, PlanBuffers, PlanCorruption, SortedList, SpliceMode, StalePlanError,
 };
 use horse_faults::{FaultId, FaultInjector, FaultSite, RecoveryOutcome};
-use horse_sched::{HostScheduler, RqId, SandboxId, SchedConfig, SpliceWatchdog, Vcpu, VcpuId};
+use horse_sched::{
+    HostScheduler, RqId, RqKind, SandboxId, SchedConfig, SpliceWatchdog, Vcpu, VcpuId,
+};
 use horse_telemetry::alloc::{note_buffer_recycled, AllocPhase, AllocScope};
 use horse_telemetry::{Counter, EventKind, Gauge, Recorder};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -264,6 +274,18 @@ struct HotScratch {
     per_rq: Vec<(RqId, u32)>,
 }
 
+/// Plan-maintenance state of one run queue (only uLL queues ever hold
+/// any).
+#[derive(Debug, Default)]
+struct QueuePlans {
+    /// Paused sandboxes holding a plan against this queue.
+    paused: Vec<SandboxId>,
+    /// The running sandbox whose resume is the only change to this queue
+    /// since the plans in `paused` were last fresh: they match the queue
+    /// minus its vCPUs, and match the queue again once it re-pauses.
+    resident: Option<SandboxId>,
+}
+
 impl HotScratch {
     /// Pops a pooled buffer (or a fresh empty one), noting the recycle
     /// when the buffer actually carries reusable capacity.
@@ -299,8 +321,8 @@ pub struct Vmm {
     sandboxes: BTreeMap<u64, Sandbox>,
     next_sandbox: u64,
     next_vcpu: u64,
-    /// Paused sandboxes with plans, per ull_runqueue (plan maintenance).
-    paused_on_rq: HashMap<RqId, Vec<SandboxId>>,
+    /// Plan maintenance per run queue, indexed by [`RqId::as_usize`].
+    plans_on: Vec<QueuePlans>,
     stats: VmmStats,
     /// Telemetry sink; disabled (and inert) by default.
     recorder: Recorder,
@@ -323,13 +345,17 @@ pub struct Vmm {
 impl Vmm {
     /// Creates a VMM over a freshly-built scheduler.
     pub fn new(sched_config: SchedConfig, cost: CostModel) -> Self {
+        let sched = HostScheduler::new(sched_config);
+        let plans_on = (0..sched.num_queues())
+            .map(|_| QueuePlans::default())
+            .collect();
         Self {
-            sched: HostScheduler::new(sched_config),
+            sched,
             cost,
             sandboxes: BTreeMap::new(),
             next_sandbox: 0,
             next_vcpu: 0,
-            paused_on_rq: HashMap::new(),
+            plans_on,
             stats: VmmStats::default(),
             recorder: Recorder::disabled(),
             injector: FaultInjector::disabled(),
@@ -470,6 +496,29 @@ impl Vmm {
         self.start_inner(id, Some(credits))
     }
 
+    /// Deliberately buggy variant of [`Vmm::start_with_credits`] that
+    /// forgets to `settle`: it enqueues beside a resident
+    /// as if no sandbox were in transit, and leaves the mark standing.
+    /// Exists solely for the check plane's seeded `--mutate
+    /// resident-skips-settle` bug — never called by a real start.
+    #[doc(hidden)]
+    pub fn start_with_credits_unsettled(
+        &mut self,
+        id: SandboxId,
+        credits: &[i64],
+    ) -> Result<(), VmmError> {
+        let marks: Vec<_> = self
+            .plans_on
+            .iter_mut()
+            .map(|q| q.resident.take())
+            .collect();
+        let started = self.start_inner(id, Some(credits));
+        for (q, mark) in self.plans_on.iter_mut().zip(marks) {
+            q.resident = mark;
+        }
+        started
+    }
+
     fn start_inner(&mut self, id: SandboxId, credits: Option<&[i64]>) -> Result<(), VmmError> {
         self.expect_state(id, SandboxState::Configured)?;
         let config = self.sandboxes[&id.as_u64()].config();
@@ -533,7 +582,8 @@ impl Vmm {
 
         // Dequeue every vCPU, remembering credits for re-insertion. If the
         // vCPUs sit on an ull_runqueue, other paused sandboxes' plans
-        // against that queue go stale and must be rebuilt afterwards.
+        // against that queue go stale and must be rebuilt afterwards —
+        // unless this sandbox is the queue's resident.
         // The save-buffer comes from the scratch pool (filled by earlier
         // resumes); the drained placement buffer goes back for the next
         // resume — a warm pause/resume cycle allocates nothing.
@@ -541,12 +591,13 @@ impl Vmm {
         let mut touched_ull = std::mem::take(&mut self.scratch.touched_ull);
         for p in placements.drain(..) {
             let (credit, vcpu) = self.sched.dequeue_vcpu(p.rq, p.node);
-            if self.sched.ull_queues().contains(&p.rq) {
+            if self.sched.queue(p.rq).kind() == RqKind::Ull {
                 touched_ull.push(p.rq);
             }
             saved.push((credit, vcpu));
         }
         self.scratch.placements.push(placements);
+        self.vacate(&mut touched_ull, id);
         // Unstable sort: `(credit, vcpu.id)` keys are unique, so the
         // order is identical to the stable sort — without its temporary
         // merge buffer.
@@ -570,8 +621,6 @@ impl Vmm {
             self.recorder.gauge_add(Gauge::QueuedVcpus, -i64::from(n));
             self.recorder
                 .gauge(Gauge::LiveSandboxes, self.sandboxes.len() as u64);
-            touched_ull.sort_unstable_by_key(|r| r.as_usize());
-            touched_ull.dedup();
             for &rq in &touched_ull {
                 self.rebuild_plans_on(rq, None);
             }
@@ -613,12 +662,15 @@ impl Vmm {
         let plan = if policy.precompute_merge {
             let _alloc = AllocScope::enter(AllocPhase::PlanPrecompute);
             let rq = ull_rq.expect("assigned above");
-            self.sched.take_arena_stats();
+            // The plan must be built against what its future peers'
+            // plans describe, not against another sandbox's transit.
+            self.settle(rq);
+            let before = self.sched.arena_stats();
             let mut merge_vcpus = SortedList::new();
             for &(credit, vcpu) in &saved {
                 merge_vcpus.insert_sorted(self.sched.arena_mut(), credit, vcpu);
             }
-            let ops = self.sched.take_arena_stats();
+            let ops = self.sched.arena_stats() - before;
             breakdown.set(
                 PauseStep::BuildMergeList,
                 (ops.allocs as f64 * self.cost.alloc_ns
@@ -670,12 +722,10 @@ impl Vmm {
 
         if let Some(rq) = ull_rq {
             if policy.precompute_merge {
-                self.paused_on_rq.entry(rq).or_default().push(id);
+                self.plans_on[rq.as_usize()].paused.push(id);
             }
         }
         // Rebuild plans of other paused sandboxes whose B we mutated.
-        touched_ull.sort_unstable_by_key(|r| r.as_usize());
-        touched_ull.dedup();
         for &rq in &touched_ull {
             self.rebuild_plans_on(rq, Some(id));
         }
@@ -784,7 +834,7 @@ impl Vmm {
         // re-scopes below.
         let _alloc = AllocScope::enter(AllocPhase::ResumeSplice);
         self.expect_state(id, SandboxState::Paused)?;
-        {
+        let ull_rq = {
             let paused = self.sandboxes[&id.as_u64()]
                 .paused
                 .as_ref()
@@ -795,7 +845,8 @@ impl Vmm {
             {
                 return Err(VmmError::ModeMismatch { id, mode });
             }
-        }
+            paused.ull_rq
+        };
 
         // Chaos: crash mid-resume — the sanity checks passed but the
         // sandbox dies before touching the queues. `destroy` already
@@ -811,6 +862,13 @@ impl Vmm {
                 id,
                 mid_resume: true,
             });
+        }
+
+        // Another sandbox may be in transit on the target queue: bring
+        // every plan on it (this sandbox's included) up to the queue as
+        // it is now, before step ④ verifies and splices.
+        if let Some(rq) = ull_rq {
+            self.settle(rq);
         }
 
         let mut degradation = ResumeDegradation::default();
@@ -850,7 +908,6 @@ impl Vmm {
         let mut merge_report = None;
         // Placement buffer recycled from the previous pause (or `start`).
         let mut placements: Vec<VcpuPlacement> = HotScratch::take_buf(&mut self.scratch.placements);
-        self.sched.take_arena_stats(); // reset op counters
         let merge_ns = if mode.uses_ppsm() {
             let rq = paused.ull_rq.expect("ppsm pause assigned a queue");
             let mut plan = paused.plan.expect("ppsm pause built a plan");
@@ -978,10 +1035,10 @@ impl Vmm {
                 // contents as a successful splice, vanilla latency.
                 let (list, bufs) = plan.into_list_recycling(self.sched.arena());
                 self.scratch.plans.push(bufs);
-                self.sched.take_arena_stats(); // time only the fallback walk
+                let before = self.sched.arena_stats(); // time only the fallback walk
                 let merged = self.sched.fallback_merge(rq, list);
                 assert_eq!(merged as u32, n, "fallback must merge all of A");
-                let ops = self.sched.take_arena_stats();
+                let ops = self.sched.arena_stats() - before;
                 let vanilla_ns = self.cost.vanilla_merge_ns(ops);
                 let penalty = (vanilla_ns - self.cost.horse_merge_ns(splices, true))
                     .max(0.0)
@@ -1017,6 +1074,7 @@ impl Vmm {
             // Per-vCPU sorted inserts. Vanilla scatters across general
             // queues; coal concentrates on the assigned ull_runqueue
             // (coalescing requires a single target queue, §4.2).
+            let before = self.sched.arena_stats();
             for &(credit, vcpu) in &paused.saved_vcpus {
                 let (rq, node) = match paused.ull_rq {
                     Some(rq) => (rq, self.sched.enqueue_vcpu(rq, credit, vcpu)),
@@ -1033,7 +1091,7 @@ impl Vmm {
                     std::thread::sleep(std::time::Duration::from_nanos(self.wake_emulation_nanos));
                 }
             }
-            let ops = self.sched.take_arena_stats();
+            let ops = self.sched.arena_stats() - before;
             self.cost.vanilla_merge_ns(ops)
         };
         let merge_dur = merge_ns.round() as u64;
@@ -1130,11 +1188,13 @@ impl Vmm {
         // Post-pipeline bookkeeping.
         if let Some(rq) = paused.ull_rq {
             self.sched.release_ull_queue(rq);
-            if let Some(list) = self.paused_on_rq.get_mut(&rq) {
-                list.retain(|s| *s != id);
-            }
-            // The queue changed: other paused plans on it must be rebuilt.
-            self.rebuild_plans_on(rq, Some(id));
+            let on_rq = &mut self.plans_on[rq.as_usize()];
+            on_rq.paused.retain(|s| *s != id);
+            // The queue changed, but only by this sandbox's vCPUs: the
+            // other plans on it are rebuilt when something else needs
+            // them (`settle`), or not at all if this sandbox re-pauses
+            // first.
+            on_rq.resident = Some(id);
         }
         // Recycle the save-buffer for the next pause.
         let mut saved = paused.saved_vcpus;
@@ -1226,10 +1286,11 @@ impl Vmm {
         let mut touched: Vec<RqId> = Vec::new();
         for p in placements {
             self.sched.dequeue_vcpu(p.rq, p.node);
-            if self.sched.ull_queues().contains(&p.rq) {
+            if self.sched.queue(p.rq).kind() == RqKind::Ull {
                 touched.push(p.rq);
             }
         }
+        self.vacate(&mut touched, id);
         if let Some(paused) = paused {
             if let Some(plan) = paused.plan {
                 let mut list = plan.into_list(self.sched.arena());
@@ -1237,13 +1298,9 @@ impl Vmm {
             }
             if let Some(rq) = paused.ull_rq {
                 self.sched.release_ull_queue(rq);
-                if let Some(l) = self.paused_on_rq.get_mut(&rq) {
-                    l.retain(|s| *s != id);
-                }
+                self.plans_on[rq.as_usize()].paused.retain(|s| *s != id);
             }
         }
-        touched.sort_unstable_by_key(|r| r.as_usize());
-        touched.dedup();
         for rq in touched {
             self.rebuild_plans_on(rq, None);
         }
@@ -1319,6 +1376,7 @@ impl Vmm {
     /// the paper's "updates are performed each time ull_runqueue is
     /// updated" (§4.1.3). Returns the dispatched vCPU.
     pub fn ull_dispatch(&mut self, rq: RqId) -> Option<(i64, Vcpu)> {
+        self.settle(rq);
         let popped = self.sched.pick_next(rq)?;
         // Drop the placement from the owning (running) sandbox.
         if let Some(sb) = self.sandboxes.get_mut(&popped.1.sandbox.as_u64()) {
@@ -1354,6 +1412,7 @@ impl Vmm {
             self.sched.ull_queues().contains(&rq),
             "fail_ull_queue targets reserved uLL queues"
         );
+        self.settle(rq);
         self.sched.fail_queue(rq);
         let mut report = QueueFailover::default();
 
@@ -1386,9 +1445,7 @@ impl Vmm {
             .collect();
         for sid in affected {
             self.sched.release_ull_queue(rq);
-            if let Some(l) = self.paused_on_rq.get_mut(&rq) {
-                l.retain(|s| *s != sid);
-            }
+            self.plans_on[rq.as_usize()].paused.retain(|s| *s != sid);
             match self.sched.try_assign_ull_queue() {
                 Some(new_rq) => {
                     // Keep the fast path: rebuild the plan against the
@@ -1398,7 +1455,8 @@ impl Vmm {
                     let state = sb.paused.as_mut().expect("paused");
                     state.ull_rq = Some(new_rq);
                     if state.plan.is_some() {
-                        self.paused_on_rq.entry(new_rq).or_default().push(sid);
+                        self.settle(new_rq);
+                        self.plans_on[new_rq.as_usize()].paused.push(sid);
                         self.rebuild_plan_for(sid, new_rq);
                     }
                     report.replanned += 1;
@@ -1468,6 +1526,34 @@ impl Vmm {
         self.sandboxes.values().map(|s| s.maintenance_ns()).sum()
     }
 
+    /// Verifies the plan-maintenance invariant on every uLL queue: each
+    /// plan registered on it is consistent with the queue — minus the
+    /// resident's vCPUs where a resident is marked. A failure here is a
+    /// resume that would fall back to the vanilla merge (or a missed
+    /// `settle`); the oracle of the `plan_freshness` suite.
+    pub fn check_plans(&self) -> Result<(), String> {
+        let arena = self.sched.arena();
+        for &rq in self.sched.ull_queues() {
+            let QueuePlans { paused, resident } = &self.plans_on[rq.as_usize()];
+            let queue = self.sched.queue_list(rq);
+            for sid in paused {
+                let state = self.sandbox(*sid).and_then(|sb| sb.paused.as_ref());
+                let Some(plan) = state
+                    .filter(|s| s.ull_rq == Some(rq))
+                    .and_then(|s| s.plan.as_ref())
+                else {
+                    return Err(format!("{sid} is registered on {rq} without a plan"));
+                };
+                match resident {
+                    Some(x) => plan.check_consistent_without(arena, queue, |v| v.sandbox == *x),
+                    None => plan.check_consistent(arena, queue),
+                }
+                .map_err(|e| format!("plan of {sid} on {rq}, resident {resident:?}: {e}"))?;
+            }
+        }
+        Ok(())
+    }
+
     // --- internals ---
 
     fn expect_state(&self, id: SandboxId, expected: SandboxState) -> Result<(), VmmError> {
@@ -1513,6 +1599,7 @@ impl Vmm {
         vcpu: Vcpu,
         exclude: Option<SandboxId>,
     ) -> horse_core::NodeRef {
+        self.settle(rq);
         let node = self.sched.enqueue_vcpu(rq, credit, vcpu);
         let at_tail = self.sched.queue_list(rq).tail() == Some(node);
         self.for_each_paused_on(rq, exclude, |vmm, sid| {
@@ -1532,22 +1619,43 @@ impl Vmm {
     }
 
     /// Calls `f` for every paused sandbox holding a plan against `rq`,
-    /// except `exclude`. The id list is lent out of the map for the walk
-    /// rather than cloned — this runs on every uLL pause and resume, which
-    /// must not allocate — so `f` must not register sandboxes on `rq`.
+    /// except `exclude`. The id list is lent out for the walk rather than
+    /// cloned — this runs on uLL pauses, which must not allocate — so `f`
+    /// must not register sandboxes on `rq`.
     fn for_each_paused_on(
         &mut self,
         rq: RqId,
         exclude: Option<SandboxId>,
         mut f: impl FnMut(&mut Self, SandboxId),
     ) {
-        let Some(ids) = self.paused_on_rq.get_mut(&rq).map(std::mem::take) else {
-            return;
-        };
+        let ids = std::mem::take(&mut self.plans_on[rq.as_usize()].paused);
         for &sid in ids.iter().filter(|sid| Some(**sid) != exclude) {
             f(self, sid);
         }
-        *self.paused_on_rq.get_mut(&rq).expect("entry lent above") = ids;
+        self.plans_on[rq.as_usize()].paused = ids;
+    }
+
+    /// The choke point of plan maintenance: brings every plan on `rq` up
+    /// to the queue as it is now, if a resident's transit left them
+    /// behind. Everything that reads or mutates a uLL queue or a plan on
+    /// it calls this first — except the resident's own re-pause, which
+    /// restores the queue instead (`vacate`).
+    fn settle(&mut self, rq: RqId) {
+        if self.plans_on[rq.as_usize()].resident.take().is_some() {
+            self.rebuild_plans_on(rq, None);
+        }
+    }
+
+    /// Sandbox `id` just dequeued its vCPUs from the uLL queues in
+    /// `touched` (one entry per vCPU). Leaves in `touched` each queue
+    /// once whose plans now need rebuilding: not the queue `id` was the
+    /// resident of, which is back to what its plans describe. Clears the
+    /// mark either way — the rebuild the caller owes covers any other
+    /// resident's transit too.
+    fn vacate(&mut self, touched: &mut Vec<RqId>, id: SandboxId) {
+        touched.sort_unstable_by_key(|r| r.as_usize());
+        touched.dedup();
+        touched.retain(|rq| self.plans_on[rq.as_usize()].resident.take() != Some(id));
     }
 
     /// Rebuilds the plans of every paused sandbox assigned to `rq`
@@ -1570,8 +1678,6 @@ impl Vmm {
         let rebuilt = self.sched.ull_precompute_in(rq, list, bufs);
         let cost =
             (rebuilt.a_len() + rebuilt.b_len()) as f64 * self.cost.plan_precompute_per_elem_ns;
-        let sb = self.sandboxes.get_mut(&sid.as_u64()).expect("registered");
-        let state = sb.paused.as_mut().expect("still paused");
         state.plan = Some(rebuilt);
         sb.maintenance_ns += cost.round() as u64;
     }
