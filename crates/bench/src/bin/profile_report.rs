@@ -6,8 +6,9 @@
 //!
 //! * `BENCH_profile.json` — allocations and bytes per pipeline phase,
 //!   lock acquisitions / nominal wait / CAS retries per contention
-//!   site, per-shard warm-pool occupancy, the two gated leaves
-//!   (`gate.allocs_per_warm_invoke`, `gate.lock_wait_ns`), and the
+//!   site, per-shard warm-pool occupancy, the three gated leaves
+//!   (`gate.allocs_per_warm_invoke`, `gate.lock_wait_ns`,
+//!   `gate.lock_acquisitions_per_warm_invoke`), and the
 //!   steady-state allocations per invoke of the three paths
 //!   `--gate-zero-alloc` holds to zero (`zero_alloc.*`);
 //! * `BENCH_profile.prom` — the same state as a Prometheus text-format
@@ -35,7 +36,13 @@
 //!   sections other binaries own;
 //! * `profile_report --inflate-allocs 32 --against ...` — perform 32
 //!   extra heap allocations per warm invoke, which MUST trip the gate
-//!   (CI runs this as the gate's negative test).
+//!   (CI runs this as the gate's negative test);
+//! * `profile_report --inflate-locks 8 --against ...` — perform 8 extra
+//!   timed lock acquisitions per invoke at the `pool_doomed_list` site —
+//!   what the unconditional 8-shard doomed drain inside every pool take
+//!   cost until PR 14 — which MUST trip the gate's
+//!   `lock_acquisitions_per_warm_invoke` leaf (CI's second negative
+//!   test).
 
 use std::collections::BTreeMap;
 use std::process::Command;
@@ -43,7 +50,7 @@ use std::process::Command;
 use horse_faas::{Cluster, DispatchPolicy, HostId, PlatformConfig, StartStrategy};
 use horse_metrics::Histogram;
 use horse_telemetry::alloc::PhaseAllocStats;
-use horse_telemetry::contention::SiteStats;
+use horse_telemetry::contention::{self, ContentionSite, SiteStats};
 use horse_telemetry::json::{self, JsonValue};
 use horse_telemetry::{profiling, CountingAlloc, Recorder};
 use horse_vmm::{SandboxConfig, SplicePool};
@@ -88,12 +95,13 @@ struct Options {
     against: Option<String>,
     write_baseline: bool,
     inflate_allocs: u64,
+    inflate_locks: u64,
     gate_zero_alloc: bool,
 }
 
 const USAGE: &str = "usage: profile_report [--seed <u64>] [--out <dir>] \
      [--against <baseline.json>] [--write-baseline] [--inflate-allocs <u64>] \
-     [--gate-zero-alloc]";
+     [--inflate-locks <u64>] [--gate-zero-alloc]";
 
 impl Options {
     fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
@@ -103,6 +111,7 @@ impl Options {
             against: None,
             write_baseline: false,
             inflate_allocs: 0,
+            inflate_locks: 0,
             gate_zero_alloc: false,
         };
         let mut it = args.into_iter();
@@ -124,6 +133,11 @@ impl Options {
                     opts.inflate_allocs = value()?
                         .parse()
                         .map_err(|e| format!("bad --inflate-allocs: {e}; {USAGE}"))?;
+                }
+                "--inflate-locks" => {
+                    opts.inflate_locks = value()?
+                        .parse()
+                        .map_err(|e| format!("bad --inflate-locks: {e}; {USAGE}"))?;
                 }
                 "--gate-zero-alloc" => opts.gate_zero_alloc = true,
                 other => return Err(format!("unknown flag {other}; {USAGE}")),
@@ -164,7 +178,23 @@ struct SoakResult {
 /// Runs the seeded single-driver soak. With `profiled`, the counting
 /// allocator and contention counters are live (and reset first); the
 /// virtual-latency results must be identical either way.
-fn soak(seed: u64, profiled: bool, inflate_allocs: u64) -> SoakResult {
+fn soak(opts: &Options, profiled: bool) -> SoakResult {
+    let Options {
+        seed,
+        inflate_allocs,
+        inflate_locks,
+        ..
+    } = *opts;
+    // The lock gate's negative self-test: deliberately take timed locks
+    // per invoke so `lock_acquisitions_per_warm_invoke` provably moves.
+    let decoy = std::sync::Mutex::new(());
+    let take_extra_locks = || {
+        for _ in 0..inflate_locks {
+            drop(contention::timed(ContentionSite::PoolDoomedList, || {
+                decoy.lock()
+            }));
+        }
+    };
     if profiled {
         profiling::reset();
     }
@@ -215,6 +245,7 @@ fn soak(seed: u64, profiled: bool, inflate_allocs: u64) -> SoakResult {
         for _ in 0..inflate_allocs {
             std::hint::black_box(vec![0u8; 256]);
         }
+        take_extra_locks();
     }
     let warm_allocs = total_allocs() - allocs_before;
 
@@ -224,6 +255,7 @@ fn soak(seed: u64, profiled: bool, inflate_allocs: u64) -> SoakResult {
             .expect("horse invoke");
         virt_init.record(record.init_ns);
         virt_total.record(record.total_ns());
+        take_extra_locks();
     }
     let snapshot = recorder.drain();
 
@@ -300,17 +332,23 @@ fn num(v: f64) -> JsonValue {
 fn deterministic_sections(r: &SoakResult) -> Vec<(String, JsonValue)> {
     let total_invocations = (WARM_ROUNDS + HORSE_ROUNDS) as f64;
 
-    let lock_wait_ns: u64 = r
-        .contention
-        .iter()
-        .map(|s| s.acquisitions * NOMINAL_ACQUIRE_NS)
-        .sum();
+    let lock_acquisitions: u64 = r.contention.iter().map(|s| s.acquisitions).sum();
     let gate = obj(vec![
         (
             "allocs_per_warm_invoke".into(),
             num(r.warm_allocs as f64 / WARM_ROUNDS as f64),
         ),
-        ("lock_wait_ns".into(), num(lock_wait_ns as f64)),
+        (
+            "lock_wait_ns".into(),
+            num((lock_acquisitions * NOMINAL_ACQUIRE_NS) as f64),
+        ),
+        // Every timed acquisition of the soak (provisioning and warm-up
+        // included) over its measured invocations: 1.11 when an invoke
+        // takes its host's `Mutex<Vmm>` and nothing else.
+        (
+            "lock_acquisitions_per_warm_invoke".into(),
+            num(lock_acquisitions as f64 / total_invocations),
+        ),
     ]);
 
     let mut phases = BTreeMap::new();
@@ -477,8 +515,8 @@ fn main() {
     // Run 1 + 2 (profiled): the determinism self-check. Every gated
     // number must reproduce exactly — the gate is only sound if the
     // measurement is.
-    let first = soak(opts.seed, true, opts.inflate_allocs);
-    let second = soak(opts.seed, true, opts.inflate_allocs);
+    let first = soak(&opts, true);
+    let second = soak(&opts, true);
     let first_sections = obj(deterministic_sections(&first));
     let second_sections = obj(deterministic_sections(&second));
     if first_sections.render() != second_sections.render() {
@@ -493,7 +531,7 @@ fn main() {
 
     // Run 3 (unprofiled): profiling must be observation-only — the
     // virtual results of the pipeline are bit-identical either way.
-    let unprofiled = soak(opts.seed, false, opts.inflate_allocs);
+    let unprofiled = soak(&opts, false);
     let bit_identical = virt_fingerprint(&unprofiled) == virt_fingerprint(&first);
     if !bit_identical {
         eprintln!("profile_report: enabling profiling changed virtual latencies — the plane");
@@ -512,6 +550,7 @@ fn main() {
             "inflate_allocs".to_string(),
             num(opts.inflate_allocs as f64),
         ),
+        ("inflate_locks".to_string(), num(opts.inflate_locks as f64)),
         (
             "checks".to_string(),
             obj(vec![
@@ -562,7 +601,7 @@ fn main() {
     );
     println!("{prom_path}: Prometheus text-format page");
     for (path, v) in &gate_leaves {
-        println!("  {path} = {v:.1}");
+        println!("  {path} = {v:.2}");
     }
 
     // The exact-zero gate: the steady-state warm and HORSE paths recycle

@@ -16,19 +16,18 @@ use crate::ring::{RingFull, SubmissionRing};
 use horse_faults::{FaultInjector, FaultSite, RecoveryOutcome, RetryPolicy};
 use horse_reliability::{
     AdmissionController, BreakerRegistry, BreakerState, BreakerTransition, ChurnEvent, Deadline,
-    DeadlineBoundary, LatencyProfiles, ReliabilityConfig, ReliabilityStats, RequestClass,
-    ShedReason, StatsSnapshot, SubmissionId,
+    DeadlineBoundary, LatencyProfiles, ParkedSlot, ReliabilityConfig, ReliabilityStats,
+    RequestClass, ShedReason, StatsSnapshot, SubmissionId,
 };
 use horse_sim::SimTime;
 use horse_telemetry::forensics::{self, outcome, RootStamp};
 use horse_telemetry::{Counter, EventKind, Recorder};
 use horse_vmm::SandboxConfig;
 use horse_workloads::Category;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// How invocations are routed across hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -137,6 +136,12 @@ impl Disposition {
 
 /// The cluster-resident half of the reliability plane: admission,
 /// breakers, latency profiles for hedging, and the conservation stats.
+///
+/// The per-function state (`breakers` rows, `profiles`, `floors`) is
+/// dense — a function id is its index — and grows only under the
+/// cluster's `&mut self` ([`Cluster::register`] /
+/// [`Cluster::set_reliability`]), so a request reaches all of it
+/// without a lock or a hash.
 #[derive(Debug)]
 struct ReliabilityPlane {
     cfg: ReliabilityConfig,
@@ -148,26 +153,77 @@ struct ReliabilityPlane {
     /// cool down on.
     ticks: AtomicU64,
     /// Per-function cheapest-possible service time (ns), the admission
-    /// feasibility gate's floor.
-    floors: RwLock<HashMap<u64, u64>>,
+    /// feasibility gate's floor (0 = gate off).
+    floors: Vec<AtomicU64>,
 }
 
 impl ReliabilityPlane {
-    fn new(cfg: ReliabilityConfig) -> Self {
+    /// A plane for a fleet of `hosts` hosts and no function yet.
+    fn new(cfg: ReliabilityConfig, hosts: usize) -> Self {
         Self {
             cfg,
             admission: AdmissionController::new(cfg.admission),
-            breakers: BreakerRegistry::new(),
-            profiles: LatencyProfiles::new(),
+            breakers: BreakerRegistry::new(hosts),
+            profiles: LatencyProfiles::new(cfg.hedge),
             stats: ReliabilityStats::new(),
             ticks: AtomicU64::new(0),
-            floors: RwLock::new(HashMap::new()),
+            floors: Vec::new(),
         }
     }
 
-    fn floor_ns(&self, function: u64) -> u64 {
-        self.floors.read().get(&function).copied().unwrap_or(0)
+    /// Grows every per-function table by the next function id's entry.
+    fn add_function(&mut self) {
+        self.breakers.add_function();
+        self.profiles.add_function();
+        self.floors.push(AtomicU64::new(0));
     }
+
+    fn floor(&self, function: FunctionId) -> Option<&AtomicU64> {
+        self.floors.get(function.as_u64() as usize)
+    }
+}
+
+/// The admissions of one [`Cluster::submit_batch`] call — `(submission
+/// tick, held slot or shed reason)` per request, **last request
+/// first** so serving pops them in order — in a buffer recycled
+/// through [`SUBMIT_SCRATCH`]. Slots are held parked (plain data, so
+/// the buffer can outlive the call); dropping the batch releases any
+/// slot not yet handed to its request — normally none, mid-batch only
+/// when a serve panicked — and returns the buffer.
+struct HeldAdmissions<'a> {
+    controller: &'a AdmissionController,
+    pending: Vec<(u64, Result<ParkedSlot, ShedReason>)>,
+}
+
+impl Drop for HeldAdmissions<'_> {
+    fn drop(&mut self) {
+        for (_, admitted) in self.pending.drain(..) {
+            if let Ok(parked) = admitted {
+                drop(self.controller.unpark(parked));
+            }
+        }
+        SUBMIT_SCRATCH.with(|s| s.borrow_mut().admissions = std::mem::take(&mut self.pending));
+    }
+}
+
+/// Reusable buffers of the ring-fed submission path.
+struct SubmitScratch {
+    requests: Vec<Request>,
+    admissions: Vec<(u64, Result<ParkedSlot, ShedReason>)>,
+}
+
+thread_local! {
+    /// One [`SubmitScratch`] per driver thread: a buffer is taken out
+    /// for the duration of a call and put back (empty, capacity kept)
+    /// at its end, so a steady-state [`Cluster::submit_ring`] allocates
+    /// only the `Vec<Disposition>` it returns. A call that unwinds just
+    /// loses its buffer to the next call's allocation.
+    static SUBMIT_SCRATCH: RefCell<SubmitScratch> = const {
+        RefCell::new(SubmitScratch {
+            requests: Vec::new(),
+            admissions: Vec::new(),
+        })
+    };
 }
 
 /// A fleet of FaaS hosts behind one dispatcher.
@@ -194,19 +250,27 @@ impl ReliabilityPlane {
 /// [`Cluster::fail_host`], [`Cluster::advance_to`]) takes `&self`:
 /// share the cluster behind an `Arc` and drive it from many threads —
 /// hosts proceed in parallel, serialized only by their own VMM locks.
-/// Liveness and the round-robin cursor live on atomics, so routing
-/// takes no lock. Setup (register / set_injector / set_recorder) stays
-/// `&mut self`: finish it before sharing.
+/// Liveness, the routing snapshot and the round-robin cursor live on
+/// atomics, so routing takes no lock. Setup (register / set_injector /
+/// set_recorder / set_reliability) stays `&mut self`: finish it before
+/// sharing.
 #[derive(Debug)]
 pub struct Cluster {
     hosts: Vec<FaasPlatform>,
     /// Liveness per host; dead hosts are skipped by routing.
     alive: Vec<AtomicBool>,
-    /// Routing snapshot: the indices of alive hosts, rebuilt on every
-    /// membership change so the per-invoke hot path is O(1) — a
-    /// `fetch_add` cursor into an immutable `Arc`'d list instead of a
-    /// walk over dead hosts.
-    alive_list: RwLock<Arc<Vec<usize>>>,
+    /// Routing snapshot: the indices of alive hosts, ascending, in the
+    /// first `alive_len` cells (the fleet size is fixed, so the cells
+    /// are too). Rebuilt on every membership change so the per-invoke
+    /// hot path is O(1) and lock-free — a `fetch_add` cursor and two
+    /// loads instead of a walk over dead hosts. See
+    /// [`Cluster::rebuild_alive_list`] for what a reader racing a
+    /// rebuild can see.
+    alive_list: Vec<AtomicUsize>,
+    alive_len: AtomicUsize,
+    /// Serializes snapshot rebuilds. Membership changes only — never
+    /// taken by a request.
+    membership: Mutex<()>,
     policy: DispatchPolicy,
     next_host: AtomicUsize,
     /// Cluster-level fault plane (whole-host failures); disabled by
@@ -264,7 +328,8 @@ impl Cluster {
             })
             .collect();
         let alive = (0..hosts.len()).map(|_| AtomicBool::new(true)).collect();
-        let alive_list = RwLock::new(Arc::new((0..hosts.len()).collect()));
+        let alive_list = (0..hosts.len()).map(AtomicUsize::new).collect();
+        let alive_len = AtomicUsize::new(hosts.len());
         let batch_rings = (0..hosts.len())
             .map(|_| SubmissionRing::with_capacity(BATCH_RING_CAPACITY))
             .collect();
@@ -272,6 +337,8 @@ impl Cluster {
             hosts,
             alive,
             alive_list,
+            alive_len,
+            membership: Mutex::new(()),
             policy,
             next_host: AtomicUsize::new(0),
             injector: FaultInjector::disabled(),
@@ -282,12 +349,38 @@ impl Cluster {
     }
 
     /// Rebuilds the routing snapshot from the liveness flags. Called on
-    /// every membership change; the hot path only clones the `Arc`.
+    /// every membership change, after the flag flipped; rebuilds are
+    /// serialized, so the last one always reflects the latest flags.
+    ///
+    /// Readers take no lock. The `Release` store of the length pairs
+    /// with the `Acquire` load in [`Self::alive_len`]: a reader that
+    /// sees the new length sees every cell written before it. A reader
+    /// still holding the previous length may read cells of either
+    /// snapshot — each is a host alive before or after this one
+    /// membership change, exactly what a reader of a snapshot taken an
+    /// instant earlier could be routed to (and routing tolerates: a
+    /// host may die right after any snapshot is read).
     fn rebuild_alive_list(&self) {
-        let fresh: Vec<usize> = (0..self.hosts.len())
-            .filter(|&i| self.alive[i].load(Ordering::Acquire))
-            .collect();
-        *self.alive_list.write() = Arc::new(fresh);
+        let _rebuild = self.membership.lock();
+        let mut len = 0;
+        for (host, alive) in self.alive.iter().enumerate() {
+            if alive.load(Ordering::Acquire) {
+                self.alive_list[len].store(host, Ordering::Relaxed);
+                len += 1;
+            }
+        }
+        self.alive_len.store(len, Ordering::Release);
+    }
+
+    /// Number of hosts in the routing snapshot (0 = the fleet is dead).
+    fn alive_len(&self) -> usize {
+        self.alive_len.load(Ordering::Acquire)
+    }
+
+    /// The alive host at round-robin position `step` of a snapshot of
+    /// `len > 0` hosts.
+    fn alive_at(&self, len: usize, step: usize) -> usize {
+        self.alive_list[step % len].load(Ordering::Relaxed)
     }
 
     /// Installs a fault injector on the cluster (whole-host failures) and
@@ -354,6 +447,9 @@ impl Cluster {
             ids.all(|id| id == first),
             "host registries diverged; register via the cluster only"
         );
+        if let Some(plane) = &mut self.reliability {
+            plane.add_function();
+        }
         first
     }
 
@@ -761,7 +857,11 @@ impl Cluster {
     /// [`Cluster::submit_batch`]; the plain [`Cluster::invoke`] path is
     /// unaffected.
     pub fn set_reliability(&mut self, cfg: ReliabilityConfig) {
-        self.reliability = Some(ReliabilityPlane::new(cfg));
+        let mut plane = ReliabilityPlane::new(cfg, self.hosts.len());
+        for _ in 0..self.hosts[0].registry().len() {
+            plane.add_function();
+        }
+        self.reliability = Some(plane);
     }
 
     fn plane(&self) -> &ReliabilityPlane {
@@ -776,12 +876,13 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the reliability plane is not installed.
+    /// Panics if the reliability plane is not installed or `function`
+    /// is not registered.
     pub fn set_feasibility_floor(&self, function: FunctionId, floor_ns: u64) {
         self.plane()
-            .floors
-            .write()
-            .insert(function.as_u64(), floor_ns);
+            .floor(function)
+            .expect("feasibility floors apply to registered functions")
+            .store(floor_ns, Ordering::Relaxed);
     }
 
     /// Point-in-time reliability tallies (conservation inputs, hedge and
@@ -829,10 +930,7 @@ impl Cluster {
     ///
     /// Panics if the reliability plane is not installed.
     pub fn hedge_threshold_ns(&self, function: FunctionId) -> Option<u64> {
-        let plane = self.plane();
-        plane
-            .profiles
-            .threshold_ns(function.as_u64(), &plane.cfg.hedge)
+        self.plane().profiles.threshold_ns(function.as_u64())
     }
 
     /// Submits one request through the reliability plane: admission,
@@ -859,55 +957,67 @@ impl Cluster {
     /// Panics if the reliability plane is not installed.
     pub fn submit_batch(&self, requests: &[Request]) -> Vec<Disposition> {
         let plane = self.plane();
-        let admissions: Vec<_> = requests
-            .iter()
-            .map(|req| {
-                plane.stats.on_submission();
-                let submission = plane.ticks.fetch_add(1, Ordering::Relaxed);
-                let outcome = plane.admission.admit(
-                    req.class,
-                    req.deadline_ns,
-                    plane.floor_ns(req.function.as_u64()),
-                );
-                (submission, outcome)
-            })
-            .collect();
-        admissions
-            .into_iter()
-            .zip(requests)
-            .map(|((submission, admitted), req)| match admitted {
-                Err(reason) => {
-                    plane.stats.on_shed();
-                    self.recorder.count(Counter::AdmissionSheds, 1);
-                    // Even a door-shed submission gets a (two-node)
-                    // forensic tree: the admission instant naming the
-                    // reason under a zero-duration root.
-                    let invocation = self.recorder.mint_invocation();
-                    self.recorder
-                        .set_context(forensics::submit_child_context(invocation));
-                    let t0 = self.recorder.now_ns();
-                    self.recorder
-                        .instant(EventKind::AdmissionGate, 0, shed_code(reason) + 1);
-                    let stamp = RootStamp {
-                        submission: SubmissionId::new(submission).stamp_bits(),
-                        class: class_code(req.class),
-                        outcome: outcome::SHED,
-                        hedged: false,
-                        met_deadline: false,
-                    };
-                    self.recorder.set_parent(None);
-                    self.recorder
-                        .span_at(EventKind::Submit, 0, t0, 0, stamp.encode());
-                    self.recorder.clear_context();
-                    Disposition::Shed { reason }
-                }
-                Ok(slot) => {
+        let mut held = HeldAdmissions {
+            controller: &plane.admission,
+            pending: SUBMIT_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().admissions)),
+        };
+        for req in requests {
+            plane.stats.on_submission();
+            let submission = plane.ticks.fetch_add(1, Ordering::Relaxed);
+            let floor_ns = plane
+                .floor(req.function)
+                .map_or(0, |f| f.load(Ordering::Relaxed));
+            let admitted = plane.admission.admit(req.class, req.deadline_ns, floor_ns);
+            held.pending
+                .push((submission, admitted.map(|slot| slot.park())));
+        }
+        held.pending.reverse();
+        let mut dispositions = Vec::with_capacity(requests.len());
+        for req in requests {
+            let (submission, admitted) = held.pending.pop().expect("one admission per request");
+            dispositions.push(match admitted {
+                Err(reason) => self.shed_at_the_door(plane, req, submission, reason),
+                Ok(parked) => {
+                    let slot = plane.admission.unpark(parked);
                     let disposition = self.serve_admitted(plane, req, submission);
                     drop(slot);
                     disposition
                 }
-            })
-            .collect()
+            });
+        }
+        dispositions
+    }
+
+    /// Accounts a request admission control refused. Even a door-shed
+    /// submission gets a (two-node) forensic tree: the admission instant
+    /// naming the reason under a zero-duration root.
+    fn shed_at_the_door(
+        &self,
+        plane: &ReliabilityPlane,
+        req: &Request,
+        submission: u64,
+        reason: ShedReason,
+    ) -> Disposition {
+        plane.stats.on_shed();
+        self.recorder.count(Counter::AdmissionSheds, 1);
+        let invocation = self.recorder.mint_invocation();
+        self.recorder
+            .set_context(forensics::submit_child_context(invocation));
+        let t0 = self.recorder.now_ns();
+        self.recorder
+            .instant(EventKind::AdmissionGate, 0, shed_code(reason) + 1);
+        let stamp = RootStamp {
+            submission: SubmissionId::new(submission).stamp_bits(),
+            class: class_code(req.class),
+            outcome: outcome::SHED,
+            hedged: false,
+            met_deadline: false,
+        };
+        self.recorder.set_parent(None);
+        self.recorder
+            .span_at(EventKind::Submit, 0, t0, 0, stamp.encode());
+        self.recorder.clear_context();
+        Disposition::Shed { reason }
     }
 
     /// Drains a [`SubmissionRing`] and submits everything it held as
@@ -926,9 +1036,12 @@ impl Cluster {
     ///
     /// Panics if the reliability plane is not installed.
     pub fn submit_ring(&self, ring: &SubmissionRing) -> Vec<Disposition> {
-        let mut requests = Vec::with_capacity(ring.len());
+        let mut requests = SUBMIT_SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().requests));
         ring.drain_into(&mut requests);
-        self.submit_batch(&requests)
+        let dispositions = self.submit_batch(&requests);
+        requests.clear();
+        SUBMIT_SCRATCH.with(|s| s.borrow_mut().requests = requests);
+        dispositions
     }
 
     /// Serves one admitted request under its own trace context (routing,
@@ -1106,8 +1219,7 @@ impl Cluster {
         let mut counted_record = record;
         let mut effective_ns = primary_ns;
         let mut hedged = false;
-        let threshold = plane.profiles.threshold_ns(fkey, &plane.cfg.hedge);
-        if let Some(threshold_ns) = threshold {
+        if let Some(threshold_ns) = plane.profiles.threshold_ns(fkey) {
             // Budget left at the instant the hedge would fire; a blown
             // budget means hedging could only waste a second host.
             let hedge_budget = deadline
@@ -1199,13 +1311,13 @@ impl Cluster {
         tick: u64,
         exclude: Option<usize>,
     ) -> Option<usize> {
-        let snapshot = Arc::clone(&self.alive_list.read());
-        if snapshot.is_empty() {
+        let alive = self.alive_len();
+        if alive == 0 {
             return None;
         }
         let start = self.next_host.fetch_add(1, Ordering::Relaxed);
-        for off in 0..snapshot.len() {
-            let host = snapshot[(start + off) % snapshot.len()];
+        for off in 0..alive {
+            let host = self.alive_at(alive, start.wrapping_add(off));
             if Some(host) == exclude {
                 continue;
             }
@@ -1242,12 +1354,12 @@ impl Cluster {
     fn route_start(&self, function: FunctionId, strategy: StartStrategy) -> Option<usize> {
         match self.policy {
             DispatchPolicy::RoundRobin => {
-                let snapshot = Arc::clone(&self.alive_list.read());
-                if snapshot.is_empty() {
+                let alive = self.alive_len();
+                if alive == 0 {
                     return None;
                 }
                 let step = self.next_host.fetch_add(1, Ordering::Relaxed);
-                Some(snapshot[step % snapshot.len()])
+                Some(self.alive_at(alive, step))
             }
             DispatchPolicy::WarmestPool => (0..self.hosts.len())
                 .filter(|&i| self.alive[i].load(Ordering::Acquire))

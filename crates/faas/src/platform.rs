@@ -17,12 +17,10 @@ use horse_vmm::{
     VmmError,
 };
 use horse_workloads::Category;
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
-use std::collections::HashMap;
+use parking_lot::{Mutex, MutexGuard};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Userspace trigger overhead of the conventional warm path (request
 /// routing, API handling, sandbox wake IPC). Calibrated so that
@@ -179,22 +177,26 @@ impl From<VmmError> for FaasError {
 /// share one platform (or a fleet of them behind a [`Cluster`]) with
 /// fine-grained interior mutability — the VMM behind one mutex per
 /// host, warm pools on lock-free shards ([`ShardedWarmPool`]), the
-/// clock and counters on atomics. The lock hierarchy is
-/// `registry → warm_pool map → pool shard → vmm`: no method acquires a
-/// lock to the left while holding one to the right, and the pool and
-/// VMM locks are never held simultaneously.
+/// clock and counters on atomics. The registry and the per-function
+/// pool table only change under `&mut self` ([`FaasPlatform::register`]),
+/// so the request path reads them without any lock: a steady-state warm
+/// invoke takes exactly one — this host's `Mutex<Vmm>`. The lock
+/// hierarchy is `pool shard → vmm`, and the two are never held
+/// simultaneously.
 ///
 /// [`Cluster`]: crate::Cluster
 #[derive(Debug)]
 pub struct FaasPlatform {
     vmm: Mutex<Vmm>,
-    registry: RwLock<FunctionRegistry>,
+    registry: FunctionRegistry,
     boot: BootModel,
     restore: RestoreModel,
-    /// Paused warm sandboxes per function and strategy kind (key includes
-    /// whether the pause was HORSE-style). The `Arc` lets the invoke
-    /// path operate on a pool without holding the map lock.
-    warm_pool: RwLock<HashMap<(FunctionId, bool), Arc<ShardedWarmPool>>>,
+    /// Paused warm sandboxes per function: one `[vanilla, horse]` row
+    /// (indexed by whether the pause was HORSE-style) per registered
+    /// function, pushed by [`Self::register`] — a [`FunctionId`] is its
+    /// row index, so the request path borrows its pool without a lock,
+    /// a hash or a refcount.
+    warm_pool: Vec<[ShardedWarmPool; 2]>,
     /// Seed of the exec-sampling stream (derived from the host's master
     /// seed). Sampling is a pure splitmix64 draw keyed by
     /// `(exec_seed, exec_samples index)` — no lock, no shared RNG state.
@@ -217,10 +219,10 @@ impl FaasPlatform {
         let seeds = SeedFactory::new(config.seed);
         Self {
             vmm: Mutex::new(Vmm::new(config.sched, config.cost)),
-            registry: RwLock::new(FunctionRegistry::new()),
+            registry: FunctionRegistry::new(),
             boot: config.boot,
             restore: config.restore,
-            warm_pool: RwLock::new(HashMap::new()),
+            warm_pool: Vec::new(),
             exec_seed: seeds.stream_seed("faas-exec"),
             exec_samples: AtomicU64::new(0),
             now_ns: AtomicU64::new(0),
@@ -280,56 +282,69 @@ impl FaasPlatform {
         let prev = self.now_ns.fetch_max(to.as_nanos(), Ordering::Relaxed);
         assert!(to.as_nanos() >= prev, "platform clock cannot go backwards");
         let mut doomed = Vec::new();
-        {
-            let pools = self.warm_pool.read();
-            for pool in pools.values() {
-                pool.evict_expired_into(to, &mut doomed);
-            }
+        for pool in self.warm_pool.iter().flatten() {
+            pool.evict_expired_into(to, &mut doomed);
         }
-        if !doomed.is_empty() {
-            let mut vmm = contention::timed(ContentionSite::VmmMutex, || self.vmm.lock());
-            for id in doomed {
-                vmm.destroy(id).expect("pooled sandboxes are destroyable");
-            }
+        self.destroy_all(doomed);
+    }
+
+    /// Destroys sandboxes the pools gave up (expired, purged), under
+    /// one VMM lock window — none at all when there is nothing to reap.
+    fn destroy_all(&self, doomed: Vec<SandboxId>) {
+        if doomed.is_empty() {
+            return;
+        }
+        let mut vmm = contention::timed(ContentionSite::VmmMutex, || self.vmm.lock());
+        for id in doomed {
+            vmm.destroy(id).expect("pooled sandboxes are destroyable");
         }
     }
 
+    /// The pool a strategy draws from: the HORSE-paused one for `Horse`,
+    /// the vanilla-paused one for everything else (cold and restored
+    /// sandboxes join it after their first run). `None` for an
+    /// unregistered function.
+    fn pool(&self, function: FunctionId, strategy: StartStrategy) -> Option<&ShardedWarmPool> {
+        let row = self.warm_pool.get(function.as_u64() as usize)?;
+        Some(&row[usize::from(strategy == StartStrategy::Horse)])
+    }
+
     /// Overrides the keep-alive policy of one function's pool (e.g.
-    /// applying a TTL recommended by `horse_traces::stats`). Creates the
-    /// pool if absent.
+    /// applying a TTL recommended by `horse_traces::stats`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `function` is not registered on this platform.
     pub fn set_keep_alive(&self, function: FunctionId, strategy: StartStrategy, policy: KeepAlive) {
-        let horse = strategy == StartStrategy::Horse;
-        self.warm_pool
-            .write()
-            .entry((function, horse))
-            .or_insert_with(|| Arc::new(ShardedWarmPool::new(policy)))
+        self.pool(function, strategy)
+            .expect("keep-alive policies apply to registered functions")
             .set_keep_alive(policy);
     }
 
     /// Keep-alive statistics of one function's pool.
     pub fn pool_stats(&self, function: FunctionId, strategy: StartStrategy) -> PoolStats {
-        let horse = strategy == StartStrategy::Horse;
-        self.warm_pool
-            .read()
-            .get(&(function, horse))
-            .map(|p| p.stats())
+        self.pool(function, strategy)
+            .map(ShardedWarmPool::stats)
             .unwrap_or_default()
     }
 
-    /// Registers a function.
+    /// Registers a function. Both of its warm pools exist from here on
+    /// (empty, plain keep-alive until provisioned).
     pub fn register(
         &mut self,
         name: impl Into<String>,
         category: Category,
         config: SandboxConfig,
     ) -> FunctionId {
-        self.registry.write().register(name, category, config)
+        self.warm_pool.push(std::array::from_fn(|_| {
+            ShardedWarmPool::new(KeepAlive::default_ttl())
+        }));
+        self.registry.register(name, category, config)
     }
 
-    /// The registry (shared read access; holds the registry read lock
-    /// for the guard's lifetime).
-    pub fn registry(&self) -> RwLockReadGuard<'_, FunctionRegistry> {
-        self.registry.read()
+    /// The registry.
+    pub fn registry(&self) -> &FunctionRegistry {
+        &self.registry
     }
 
     /// The underlying VMM (for overhead accounting). Holds the host's
@@ -361,19 +376,14 @@ impl FaasPlatform {
             strategy.needs_warm_pool(),
             "provisioning only applies to warm-pool strategies"
         );
-        let cfg = self
-            .registry
-            .read()
-            .get(function)
-            .ok_or(FaasError::UnknownFunction(function))?
-            .config();
-        let horse = strategy == StartStrategy::Horse;
-        let policy = if horse {
+        let (cfg, _, pool) = self.resolve(function, strategy)?;
+        let policy = if strategy == StartStrategy::Horse {
             PausePolicy::horse()
         } else {
             PausePolicy::vanilla()
         };
-        let pool = self.pool_entry(function, horse, KeepAlive::Provisioned);
+        // The premium option supersedes plain keep-alive.
+        pool.set_keep_alive(KeepAlive::Provisioned);
         for _ in 0..count {
             let id = {
                 let mut vmm = contention::timed(ContentionSite::VmmMutex, || self.vmm.lock());
@@ -389,41 +399,8 @@ impl FaasPlatform {
 
     /// Number of provisioned sandboxes available for a strategy.
     pub fn pool_size(&self, function: FunctionId, strategy: StartStrategy) -> usize {
-        let horse = strategy == StartStrategy::Horse;
-        self.warm_pool
-            .read()
-            .get(&(function, horse))
-            .map_or(0, |p| p.len())
-    }
-
-    /// Pool accessor, creating the pool with the given default policy.
-    /// A provisioned request upgrades an existing TTL pool (the premium
-    /// option supersedes plain keep-alive). Returns a clone of the
-    /// pool's `Arc` so callers operate on it without the map lock.
-    fn pool_entry(
-        &self,
-        function: FunctionId,
-        horse: bool,
-        policy: KeepAlive,
-    ) -> Arc<ShardedWarmPool> {
-        let key = (function, horse);
-        let pool = {
-            let pools = self.warm_pool.read();
-            pools.get(&key).cloned()
-        };
-        let pool = match pool {
-            Some(p) => p,
-            None => Arc::clone(
-                self.warm_pool
-                    .write()
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(ShardedWarmPool::new(policy))),
-            ),
-        };
-        if policy == KeepAlive::Provisioned && pool.keep_alive() != KeepAlive::Provisioned {
-            pool.set_keep_alive(KeepAlive::Provisioned);
-        }
-        pool
+        self.pool(function, strategy)
+            .map_or(0, ShardedWarmPool::len)
     }
 
     /// Invokes a function with the given start strategy, returning the
@@ -465,13 +442,7 @@ impl FaasPlatform {
         // to the `Invoke` phase; the pool take and the inner pause/resume
         // pipelines re-scope themselves more precisely.
         let _alloc = AllocScope::enter(AllocPhase::Invoke);
-        let (cfg, category) = {
-            let registry = self.registry.read();
-            let meta = registry
-                .get(function)
-                .ok_or(FaasError::UnknownFunction(function))?;
-            (meta.config(), meta.category())
-        };
+        let (cfg, category, pool) = self.resolve(function, strategy)?;
         let exec_ns = self.sample_exec_ns(category);
 
         // Trace context: mint an invocation id here — unless the cluster
@@ -506,7 +477,6 @@ impl FaasPlatform {
             None
         };
         let t0 = self.recorder.now_ns();
-        let mut pool = None;
         let dispatched = self.dispatch_invoke(
             function,
             strategy,
@@ -515,7 +485,7 @@ impl FaasPlatform {
             t0,
             budget_ns,
             outer_parent,
-            &mut pool,
+            pool,
         );
         if dispatched.is_err() && outer.is_traced() && self.recorder.is_enabled() {
             // Under the cluster plane a failed attempt still emitted
@@ -560,9 +530,8 @@ impl FaasPlatform {
     /// identical to [`Self::invoke`]; what the batch amortizes is the
     /// bookkeeping *around* it:
     ///
-    /// * one registry read for the whole batch instead of one per call;
-    /// * one warm-pool map lookup — the pool `Arc` is resolved once and
-    ///   reused by every take and re-pause in the batch;
+    /// * one registry and pool-table lookup for the whole batch instead
+    ///   of one per call;
     /// * one invoke-counter update (`count(strategy, n)`) at the end;
     /// * one recorder pool-gauge scan at the end instead of after every
     ///   invocation.
@@ -590,14 +559,7 @@ impl FaasPlatform {
         if count == 0 {
             return Ok(());
         }
-        let (cfg, category) = {
-            let registry = self.registry.read();
-            let meta = registry
-                .get(function)
-                .ok_or(FaasError::UnknownFunction(function))?;
-            (meta.config(), meta.category())
-        };
-        let mut pool = None;
+        let (cfg, category, pool) = self.resolve(function, strategy)?;
         let mut completed = 0u64;
         let mut first_err = None;
         for _ in 0..count {
@@ -609,7 +571,7 @@ impl FaasPlatform {
             });
             let t0 = self.recorder.now_ns();
             let dispatched =
-                self.dispatch_invoke(function, strategy, cfg, exec_ns, t0, None, None, &mut pool);
+                self.dispatch_invoke(function, strategy, cfg, exec_ns, t0, None, None, pool);
             self.recorder.clear_context();
             match dispatched {
                 Ok(init_ns) => {
@@ -671,7 +633,7 @@ impl FaasPlatform {
         let mut pooled = 0u64;
         let mut warm = [0u64; horse_telemetry::counters::POOL_GAUGE_SHARDS];
         let mut cold = [0u64; horse_telemetry::counters::POOL_GAUGE_SHARDS];
-        for pool in self.warm_pool.read().values() {
+        for pool in self.warm_pool.iter().flatten() {
             pooled += pool.len() as u64;
             for (i, &(w, c)) in pool.shard_occupancy().iter().enumerate() {
                 warm[i] += w;
@@ -687,13 +649,9 @@ impl FaasPlatform {
     }
 
     /// Runs the strategy-specific initialization pipeline under the
-    /// invocation's trace context, returning the init latency.
-    ///
-    /// `pool` caches the function's warm-pool `Arc` across the pool
-    /// take and the keep-alive re-pause (and, on the batched path,
-    /// across the whole batch): the map lookup runs once, then every
-    /// take/put reuses the resolved shard set. An empty cache is always
-    /// re-resolved, so a pool created mid-flight is still found.
+    /// invocation's trace context, returning the init latency. `pool`
+    /// is the strategy's pool ([`Self::pool`]): the take and the
+    /// keep-alive re-pause both go to it.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_invoke(
         &self,
@@ -704,7 +662,7 @@ impl FaasPlatform {
         t0: u64,
         budget_ns: Option<u64>,
         outer_parent: Option<EventKind>,
-        pool: &mut Option<Arc<ShardedWarmPool>>,
+        pool: &ShardedWarmPool,
     ) -> Result<u64, FaasError> {
         Ok(match strategy {
             StartStrategy::Cold => {
@@ -717,9 +675,9 @@ impl FaasPlatform {
                     id
                 };
                 let init = self.boot.boot_ns(cfg);
-                self.enforce_resume_deadline(function, id, false, init, budget_ns, pool)?;
+                self.enforce_resume_deadline(function, id, init, budget_ns, pool)?;
                 self.record_init_and_exec(EventKind::InvokeCold, t0, init, exec_ns, outer_parent);
-                self.repause_into_pool(id, function, false, pool)?;
+                self.repause_into_pool(id, false, pool)?;
                 init
             }
             StartStrategy::Restore => {
@@ -730,7 +688,7 @@ impl FaasPlatform {
                     id
                 };
                 let init = self.restore.restore_ns(cfg);
-                self.enforce_resume_deadline(function, id, false, init, budget_ns, pool)?;
+                self.enforce_resume_deadline(function, id, init, budget_ns, pool)?;
                 self.record_init_and_exec(
                     EventKind::InvokeRestore,
                     t0,
@@ -738,7 +696,7 @@ impl FaasPlatform {
                     exec_ns,
                     outer_parent,
                 );
-                self.repause_into_pool(id, function, false, pool)?;
+                self.repause_into_pool(id, false, pool)?;
                 init
             }
             StartStrategy::Warm => {
@@ -804,14 +762,14 @@ impl FaasPlatform {
         t0: u64,
         budget_ns: Option<u64>,
         outer_parent: Option<EventKind>,
-        pool: &mut Option<Arc<ShardedWarmPool>>,
+        pool: &ShardedWarmPool,
     ) -> Result<u64, FaasError> {
         if let Some(budget) = budget_ns {
             if Deadline::from_nanos(budget).exceeded(init_ns) {
                 // Initialization alone blew the budget: re-pool the
                 // sandbox (its state is intact — only this request's
                 // budget is gone) and surface the miss typed.
-                self.repause_into_pool_locked(vmm, id, function, horse, pool)?;
+                self.repause_into_pool_locked(vmm, id, horse, pool)?;
                 self.recorder.count(Counter::DeadlineMisses, 1);
                 return Err(FaasError::DeadlineExceeded {
                     function,
@@ -822,22 +780,22 @@ impl FaasPlatform {
             }
         }
         self.record_init_and_exec(kind, t0, init_ns, exec_ns, outer_parent);
-        self.repause_into_pool_locked(vmm, id, function, horse, pool)?;
+        self.repause_into_pool_locked(vmm, id, horse, pool)?;
         Ok(init_ns)
     }
 
-    /// The resume-boundary deadline check: if initialization alone
-    /// exhausted the budget, the sandbox is re-pooled (its state is
-    /// intact — only this request's budget is gone) and the miss
-    /// surfaces typed. A `None` budget disables the check.
+    /// The resume-boundary deadline check of the boot and restore
+    /// paths: if initialization alone exhausted the budget, the sandbox
+    /// joins the vanilla pool (its state is intact — only this request's
+    /// budget is gone) and the miss surfaces typed. A `None` budget
+    /// disables the check.
     fn enforce_resume_deadline(
         &self,
         function: FunctionId,
         id: SandboxId,
-        horse: bool,
         init_ns: u64,
         budget_ns: Option<u64>,
-        pool: &mut Option<Arc<ShardedWarmPool>>,
+        pool: &ShardedWarmPool,
     ) -> Result<(), FaasError> {
         let Some(budget) = budget_ns else {
             return Ok(());
@@ -845,7 +803,7 @@ impl FaasPlatform {
         if !Deadline::from_nanos(budget).exceeded(init_ns) {
             return Ok(());
         }
-        self.repause_into_pool(id, function, horse, pool)?;
+        self.repause_into_pool(id, false, pool)?;
         self.recorder.count(Counter::DeadlineMisses, 1);
         Err(FaasError::DeadlineExceeded {
             function,
@@ -897,7 +855,7 @@ impl FaasPlatform {
         strategy: StartStrategy,
         cfg: SandboxConfig,
         budget_ns: Option<u64>,
-        pool: &mut Option<Arc<ShardedWarmPool>>,
+        pool: &ShardedWarmPool,
     ) -> Result<(SandboxId, ResumeOutcome, u64, MutexGuard<'_, Vmm>), FaasError> {
         let horse = strategy == StartStrategy::Horse;
         let (mode, pause_policy) = if horse {
@@ -927,7 +885,7 @@ impl FaasPlatform {
             // Acquire an entry: from the pool, or — once recovery is
             // under way and the pool has drained — by re-provisioning a
             // fresh sandbox (a full boot, charged to the invocation).
-            let (id, reprovisioned) = match self.pop_pool(function, horse, strategy, pool) {
+            let (id, reprovisioned) = match self.pop_pool(function, strategy, pool) {
                 Ok(id) => (id, false),
                 Err(e) if attempts == 0 => return Err(e),
                 Err(_) => {
@@ -1031,53 +989,39 @@ impl FaasPlatform {
     fn repause_into_pool(
         &self,
         id: SandboxId,
-        function: FunctionId,
         horse: bool,
-        pool: &mut Option<Arc<ShardedWarmPool>>,
+        pool: &ShardedWarmPool,
     ) -> Result<(), FaasError> {
         let vmm = contention::timed(ContentionSite::VmmMutex, || self.vmm.lock());
-        self.repause_into_pool_locked(vmm, id, function, horse, pool)
+        self.repause_into_pool_locked(vmm, id, horse, pool)
     }
 
     /// [`Self::repause_into_pool`] under a VMM guard the caller already
     /// holds (the warm path's consolidated lock window). The guard is
     /// consumed: the pause runs under it, then it drops **before** the
     /// pool insert takes its shard lock — the pool and VMM locks are
-    /// never held simultaneously. A populated `pool` cache skips the
-    /// map lookup while keeping [`Self::pool_entry`]'s policy-upgrade
-    /// semantics (a provisioned put still supersedes plain keep-alive).
+    /// never held simultaneously. A HORSE re-pause lands in a
+    /// provisioned pool (the premium option supersedes plain
+    /// keep-alive, also for an entry re-provisioned mid-recovery).
     fn repause_into_pool_locked(
         &self,
         mut vmm: MutexGuard<'_, Vmm>,
         id: SandboxId,
-        function: FunctionId,
         horse: bool,
-        pool: &mut Option<Arc<ShardedWarmPool>>,
+        pool: &ShardedWarmPool,
     ) -> Result<(), FaasError> {
-        let (policy, keep_alive) = if horse {
-            (PausePolicy::horse(), KeepAlive::Provisioned)
+        let policy = if horse {
+            PausePolicy::horse()
         } else {
-            (PausePolicy::vanilla(), KeepAlive::default_ttl())
+            PausePolicy::vanilla()
         };
         let paused = vmm.pause(id, policy);
         drop(vmm);
         match paused {
             Ok(_) => {
-                let pool = match pool {
-                    Some(pool) => {
-                        if keep_alive == KeepAlive::Provisioned
-                            && pool.keep_alive() != KeepAlive::Provisioned
-                        {
-                            pool.set_keep_alive(KeepAlive::Provisioned);
-                        }
-                        Arc::clone(pool)
-                    }
-                    None => {
-                        let fresh = self.pool_entry(function, horse, keep_alive);
-                        *pool = Some(Arc::clone(&fresh));
-                        fresh
-                    }
-                };
+                if horse && pool.keep_alive() != KeepAlive::Provisioned {
+                    pool.set_keep_alive(KeepAlive::Provisioned);
+                }
                 pool.put(id, self.now());
                 Ok(())
             }
@@ -1106,23 +1050,15 @@ impl FaasPlatform {
     /// evictions, which is what a host teardown semantically is.
     pub fn purge_pools(&self) -> usize {
         let mut doomed = Vec::new();
-        {
-            let pools = self.warm_pool.read();
-            for pool in pools.values() {
-                let policy = pool.keep_alive();
-                pool.set_keep_alive(KeepAlive::Ttl(horse_sim::SimDuration::from_nanos(0)));
-                pool.evict_expired_into(SimTime::from_nanos(u64::MAX), &mut doomed);
-                pool.set_keep_alive(policy);
-                doomed.extend(pool.drain_doomed());
-            }
+        for pool in self.warm_pool.iter().flatten() {
+            let policy = pool.keep_alive();
+            pool.set_keep_alive(KeepAlive::Ttl(horse_sim::SimDuration::from_nanos(0)));
+            pool.evict_expired_into(SimTime::from_nanos(u64::MAX), &mut doomed);
+            pool.set_keep_alive(policy);
+            doomed.extend(pool.drain_doomed());
         }
         let purged = doomed.len();
-        if !doomed.is_empty() {
-            let mut vmm = contention::timed(ContentionSite::VmmMutex, || self.vmm.lock());
-            for id in doomed {
-                vmm.destroy(id).expect("pooled sandboxes are destroyable");
-            }
-        }
+        self.destroy_all(doomed);
         purged
     }
 
@@ -1130,52 +1066,44 @@ impl FaasPlatform {
     /// non-empty pool — what a cluster re-provisions on surviving hosts
     /// when this host dies.
     pub fn pool_inventory(&self) -> Vec<(FunctionId, StartStrategy, usize)> {
-        let mut out: Vec<(FunctionId, StartStrategy, usize)> = self
-            .warm_pool
-            .read()
+        // Per function: the HORSE pool, then the vanilla one (the order
+        // a cluster rebalances them in).
+        self.registry
             .iter()
-            .filter(|(_, pool)| !pool.is_empty())
-            .map(|(&(function, horse), pool)| {
-                let strategy = if horse {
-                    StartStrategy::Horse
-                } else {
-                    StartStrategy::Warm
-                };
-                (function, strategy, pool.len())
+            .flat_map(|(function, _)| {
+                [StartStrategy::Horse, StartStrategy::Warm]
+                    .map(|strategy| (function, strategy, self.pool_size(function, strategy)))
             })
-            .collect();
-        out.sort_by_key(|&(f, s, _)| (f, s.label()));
-        out
+            .filter(|&(_, _, size)| size > 0)
+            .collect()
+    }
+
+    /// What an invocation needs of its function: the sandbox template,
+    /// the workload category and the strategy's pool — two `Vec` index
+    /// reads, no lock.
+    fn resolve(
+        &self,
+        function: FunctionId,
+        strategy: StartStrategy,
+    ) -> Result<(SandboxConfig, Category, &ShardedWarmPool), FaasError> {
+        match (self.registry.get(function), self.pool(function, strategy)) {
+            (Some(meta), Some(pool)) => Ok((meta.config(), meta.category(), pool)),
+            _ => Err(FaasError::UnknownFunction(function)),
+        }
     }
 
     fn pop_pool(
         &self,
         function: FunctionId,
-        horse: bool,
         strategy: StartStrategy,
-        pool: &mut Option<Arc<ShardedWarmPool>>,
+        pool: &ShardedWarmPool,
     ) -> Result<SandboxId, FaasError> {
         let _alloc = AllocScope::enter(AllocPhase::PoolTake);
-        let now = self.now();
-        if pool.is_none() {
-            // Cache miss: resolve the pool once; every later take and
-            // re-pause in this invocation (or batch) reuses the Arc. An
-            // absent pool leaves the cache empty so the next take
-            // re-resolves (the pool may be created mid-recovery).
-            *pool = self.warm_pool.read().get(&(function, horse)).cloned();
-        }
-        let (taken, doomed) = match pool {
-            Some(pool) => (pool.take(now), pool.drain_doomed()),
-            None => (None, Vec::new()),
-        };
+        let taken = pool.take(self.now());
         // Destroy entries `take` lazily expired (the keep-alive tax is
-        // paid even when eviction happens on the take path).
-        if !doomed.is_empty() {
-            let mut vmm = contention::timed(ContentionSite::VmmMutex, || self.vmm.lock());
-            for id in doomed {
-                vmm.destroy(id).expect("pooled sandboxes are destroyable");
-            }
-        }
+        // paid even when eviction happens on the take path). Nothing
+        // pending — the steady state — costs one load and no lock.
+        self.destroy_all(pool.drain_doomed());
         match taken {
             Some(id) => {
                 self.recorder.instant(EventKind::PoolHit, 0, 0);

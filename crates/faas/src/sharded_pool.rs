@@ -175,7 +175,7 @@ struct Shard {
     /// concurrency like every other probe here).
     warm_len: AtomicU64,
     /// Entries lazily expired by `take`, awaiting destruction by the
-    /// platform.
+    /// platform. Counted pool-wide in `ShardedWarmPool::doomed_pending`.
     doomed: Mutex<Vec<SandboxId>>,
 }
 
@@ -285,6 +285,15 @@ pub struct ShardedWarmPool {
     keep_alive_ns: AtomicU64,
     /// Total pooled entries across shards (warm stacks + overflow).
     len: AtomicU64,
+    /// Upper bound on the ids sitting in the shards' `doomed` lists —
+    /// the emptiness probe that keeps [`Self::drain_doomed`] off all
+    /// [`SHARD_COUNT`] mutexes when nothing was evicted (the `cold_len`
+    /// idiom, pool-wide). Raised *before* an id is pushed and lowered
+    /// *after* ids are removed, so a listed id is always counted: a
+    /// drain racing a push may leave the id for the next drain but can
+    /// never zero the count over it. `Relaxed` throughout — the lists
+    /// themselves are published by their mutexes.
+    doomed_pending: AtomicU64,
     stats: AtomicPoolStats,
 }
 
@@ -295,6 +304,7 @@ impl ShardedWarmPool {
             shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
             keep_alive_ns: AtomicU64::new(encode_keep_alive(keep_alive)),
             len: AtomicU64::new(0),
+            doomed_pending: AtomicU64::new(0),
             stats: AtomicPoolStats::default(),
         }
     }
@@ -346,9 +356,7 @@ impl ShardedWarmPool {
                     shard.cold_len.fetch_sub(1, Ordering::Relaxed);
                     self.len.fetch_sub(1, Ordering::Relaxed);
                     if expired(ka, since.as_nanos(), now_ns) {
-                        self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                        contention::timed(ContentionSite::PoolDoomedList, || shard.doomed.lock())
-                            .push(id);
+                        self.doom(shard, id);
                         continue;
                     }
                     self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -370,9 +378,7 @@ impl ShardedWarmPool {
                 shard.warm_len.fetch_sub(1, Ordering::Relaxed);
                 self.len.fetch_sub(1, Ordering::Relaxed);
                 if expired(ka, since_ns, now_ns) {
-                    self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                    contention::timed(ContentionSite::PoolDoomedList, || shard.doomed.lock())
-                        .push(id);
+                    self.doom(shard, id);
                     continue;
                 }
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -407,16 +413,32 @@ impl ShardedWarmPool {
         self.len.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Hands an entry [`Self::take`] found expired to the shard's doomed
+    /// list (both eviction sites go through here, so the pending count
+    /// cannot drift from the lists).
+    fn doom(&self, shard: &Shard, id: SandboxId) {
+        self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        self.doomed_pending.fetch_add(1, Ordering::Relaxed);
+        contention::timed(ContentionSite::PoolDoomedList, || shard.doomed.lock()).push(id);
+    }
+
     /// Sandboxes lazily evicted by [`Self::take`] since the last drain:
-    /// the caller owns their destruction.
+    /// the caller owns their destruction. Touches no mutex (and does
+    /// not allocate) while nothing is pending — the steady state of a
+    /// provisioned pool.
     pub fn drain_doomed(&self) -> Vec<SandboxId> {
         let mut out = Vec::new();
+        if self.doomed_pending.load(Ordering::Relaxed) == 0 {
+            return out;
+        }
         for shard in &self.shards {
             out.append(&mut contention::timed(
                 ContentionSite::PoolDoomedList,
                 || shard.doomed.lock(),
             ));
         }
+        self.doomed_pending
+            .fetch_sub(out.len() as u64, Ordering::Relaxed);
         out
     }
 
@@ -477,10 +499,12 @@ impl ShardedWarmPool {
 
     /// Removes every sandbox idle past the TTL, appending them to `buf`
     /// for the caller to destroy (the reuse-buffer sweep — no per-sweep
-    /// allocation). Provisioned pools never evict.
+    /// allocation). Provisioned pools never evict, and an empty pool has
+    /// nothing to sweep (every function owns both of its pools from
+    /// registration, used or not).
     pub fn evict_expired_into(&self, now: SimTime, buf: &mut Vec<SandboxId>) {
         let ka = self.keep_alive_ns.load(Ordering::Relaxed);
-        if ka == PROVISIONED {
+        if ka == PROVISIONED || self.is_empty() {
             return;
         }
         let now_ns = now.as_nanos();
@@ -578,6 +602,87 @@ mod tests {
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(p.drain_doomed(), vec![SandboxId::new(1)]);
         assert!(p.drain_doomed().is_empty(), "drain is one-shot");
+    }
+
+    #[test]
+    fn both_eviction_sites_feed_the_pending_count() {
+        // Fill past the slab so the expired entries sit in the cold
+        // overflow *and* on the warm stack: `take` evicts from both.
+        let p = ShardedWarmPool::new(KeepAlive::Ttl(SimDuration::from_secs(100)));
+        let n = SLOTS_PER_SHARD as u64 + 3;
+        for i in 0..n {
+            p.put(SandboxId::new(i), t(0));
+        }
+        assert_eq!(p.doomed_pending.load(Ordering::Relaxed), 0);
+        assert_eq!(p.take(t(500)), None, "everything expired");
+        assert_eq!(p.doomed_pending.load(Ordering::Relaxed), n);
+        let mut doomed = p.drain_doomed();
+        doomed.sort_unstable();
+        let expected: Vec<SandboxId> = (0..n).map(SandboxId::new).collect();
+        assert_eq!(doomed, expected, "cold-overflow and slab evictions alike");
+        assert_eq!(p.doomed_pending.load(Ordering::Relaxed), 0);
+        assert!(p.drain_doomed().is_empty(), "drain is one-shot");
+        assert_eq!(p.stats().evictions, n);
+    }
+
+    #[test]
+    fn an_idle_drain_touches_no_mutex() {
+        // Hold every shard's doomed lock: a drain that reached for any
+        // of them would block until the guards drop.
+        let p = ShardedWarmPool::new(KeepAlive::Provisioned);
+        p.put(SandboxId::new(1), t(0));
+        assert_eq!(p.take(t(1)), Some(SandboxId::new(1)));
+        let guards: Vec<_> = p.shards.iter().map(|s| s.doomed.lock()).collect();
+        let (done, drained) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| done.send(p.drain_doomed()).unwrap());
+            let doomed = drained.recv_timeout(std::time::Duration::from_secs(10));
+            drop(guards);
+            assert_eq!(doomed, Ok(Vec::new()), "the drain blocked on a mutex");
+        });
+    }
+
+    /// A drain racing `take`'s pushes may miss an id, but only until
+    /// the next drain: the pending count is raised before the push and
+    /// lowered after the removal, so it never reads zero over a listed
+    /// id.
+    #[test]
+    fn racing_drains_never_lose_a_doomed_id() {
+        let pool = Arc::new(ShardedWarmPool::new(KeepAlive::Ttl(
+            SimDuration::from_nanos(1),
+        )));
+        let evictors = 3u64;
+        let per_evictor = 4_000u64;
+        let start = Arc::new(std::sync::Barrier::new(evictors as usize + 1));
+        let handles: Vec<_> = (0..evictors)
+            .map(|e| {
+                let (pool, start) = (Arc::clone(&pool), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..per_evictor {
+                        // Parked at 0, taken at 10 ns: expired on sight.
+                        pool.put(SandboxId::new(e * per_evictor + i), SimTime::ZERO);
+                        assert_eq!(pool.take(SimTime::from_nanos(10)), None);
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        let mut reaped: Vec<u64> = Vec::new();
+        while handles.iter().any(|h| !h.is_finished()) {
+            reaped.extend(pool.drain_doomed().iter().map(|id| id.as_u64()));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        // Quiescent now: whatever a racing drain left behind is still
+        // counted, so this last drain finds it.
+        reaped.extend(pool.drain_doomed().iter().map(|id| id.as_u64()));
+        assert!(pool.drain_doomed().is_empty());
+        assert_eq!(pool.doomed_pending.load(Ordering::Relaxed), 0);
+        reaped.sort_unstable();
+        let expected: Vec<u64> = (0..evictors * per_evictor).collect();
+        assert_eq!(reaped, expected, "every evicted id reaped exactly once");
     }
 
     #[test]

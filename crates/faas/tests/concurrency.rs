@@ -241,3 +241,106 @@ fn mixed_strategies_under_contention_keep_pools_separate() {
         assert_eq!(stats.evictions, 0);
     }
 }
+
+/// Keep-alive eviction racing the invoke path. Every pooled sandbox of
+/// a 1 ns-TTL pool is doomed as soon as the clock moves: a sweeper
+/// thread advances it (the eager sweep of `advance_to`) while drivers
+/// cold-start sandboxes into the pool and warm-take from it (the lazy
+/// eviction of `take`, whose doomed ids *any* thread's next drain may
+/// reap). Whichever path gives a sandbox up, the VMM must destroy it
+/// exactly once: a second destroy panics the reaping thread, and a
+/// lost id would stay live without being pooled.
+#[test]
+fn evicted_sandboxes_are_destroyed_exactly_once_under_contention() {
+    use horse_faas::{HostId, KeepAlive};
+    use horse_sim::{SimDuration, SimTime};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    const DRIVERS: usize = 3;
+    let mut cluster = Cluster::new(HOSTS, DispatchPolicy::RoundRobin, 11);
+    let vanilla = SandboxConfig::builder().vcpus(1).build().unwrap();
+    let f = cluster.register("nat", Category::Cat2, vanilla);
+    for host in 0..HOSTS {
+        cluster.host(HostId(host)).set_keep_alive(
+            f,
+            StartStrategy::Warm,
+            KeepAlive::Ttl(SimDuration::from_nanos(1)),
+        );
+    }
+    let cluster = &cluster;
+    let start = Barrier::new(DRIVERS + 1);
+    let driving = AtomicBool::new(true);
+    let (served, dry) = (AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|scope| {
+        let drivers: Vec<_> = (0..DRIVERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        // Each round waits for the sweeper's next tick, so
+                        // what the previous round pooled has expired: the
+                        // sweep (host 0 first, this round runs while it
+                        // is still on the other hosts) and this round's
+                        // take race for it.
+                        let seen = cluster.host(HostId(0)).now();
+                        while cluster.host(HostId(0)).now() <= seen {
+                            std::thread::yield_now();
+                        }
+                        cluster
+                            .invoke(f, StartStrategy::Cold)
+                            .expect("cold starts need no pool");
+                        match cluster.invoke(f, StartStrategy::Warm) {
+                            Ok(_) => served.fetch_add(1, Ordering::Relaxed),
+                            Err(FaasError::NoWarmSandbox { .. }) => {
+                                dry.fetch_add(1, Ordering::Relaxed)
+                            }
+                            Err(e) => panic!("unexpected invoke error: {e}"),
+                        };
+                    }
+                })
+            })
+            .collect();
+        scope.spawn(|| {
+            start.wait();
+            let mut now = SimTime::ZERO;
+            while driving.load(Ordering::Acquire) {
+                now += SimDuration::from_nanos(10);
+                cluster.advance_to(now);
+            }
+        });
+        for driver in drivers {
+            driver.join().expect("a driver panicked (double destroy?)");
+        }
+        driving.store(false, Ordering::Release);
+    });
+
+    assert_eq!(
+        served.load(Ordering::Relaxed) + dry.load(Ordering::Relaxed),
+        (DRIVERS * ROUNDS) as u64
+    );
+    let evictions = cluster
+        .aggregate_pool_stats(f, StartStrategy::Warm)
+        .evictions;
+    assert!(evictions > 0, "the sweeper and the takes evicted something");
+    let (mut created, mut destroyed) = (0, 0);
+    for host in 0..HOSTS {
+        let host = cluster.host(HostId(host));
+        let pooled = host.pool_size(f, StartStrategy::Warm);
+        let vmm = host.vmm();
+        assert_eq!(
+            vmm.sandbox_count(),
+            pooled,
+            "a live sandbox outside the pool is an evicted id nobody reaped"
+        );
+        assert_eq!(vmm.stats().created - vmm.stats().destroyed, pooled as u64);
+        created += vmm.stats().created;
+        destroyed += vmm.stats().destroyed;
+    }
+    assert_eq!(
+        created,
+        (DRIVERS * ROUNDS) as u64,
+        "one boot per cold start"
+    );
+    assert_eq!(destroyed, evictions, "one destroy per evicted sandbox");
+}

@@ -23,8 +23,11 @@ use serde::{Deserialize, Serialize};
 
 /// A mergeable quantile sketch over `u64` values (typically nanoseconds).
 ///
-/// Recording is O(log buckets); percentile queries are O(buckets). Any
-/// reported percentile is within relative error `alpha` of the exact order
+/// Recording is O(log buckets). A percentile query walks the buckets from
+/// the nearer end — up from the bottom below the median, down from the top
+/// at or above it — so a tail query (p99 of a hedge threshold, say) costs
+/// O(buckets above its rank) rather than O(buckets). Any reported
+/// percentile is within relative error `alpha` of the exact order
 /// statistic's bucket, plus at most half a unit of integer rounding.
 ///
 /// # Example
@@ -177,17 +180,29 @@ impl QuantileSketch {
             return 0;
         }
         let target = ((pct / 100.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut seen = self.zero_count;
-        if seen >= target {
+        if self.zero_count >= target {
             return 0;
         }
-        for (&key, &count) in &self.buckets {
-            seen += count;
-            if seen >= target {
-                return self.value_for(key).clamp(self.min, self.max);
-            }
-        }
-        self.max
+        let key = if pct >= 50.0 {
+            // The bucket holding ascending rank `target` is the first one,
+            // walking down, whose cumulative count from the top exceeds the
+            // `total - target` values ranked above it.
+            let above = self.total - target;
+            let mut seen = 0;
+            self.buckets.iter().rev().find_map(|(&key, &count)| {
+                seen += count;
+                (seen > above).then_some(key)
+            })
+        } else {
+            let mut seen = self.zero_count;
+            self.buckets.iter().find_map(|(&key, &count)| {
+                seen += count;
+                (seen >= target).then_some(key)
+            })
+        };
+        key.map_or(self.max, |key| {
+            self.value_for(key).clamp(self.min, self.max)
+        })
     }
 
     /// Merges another sketch into this one.
@@ -419,5 +434,97 @@ mod tests {
             "narrow distribution used {} buckets",
             s.bucket_count()
         );
+    }
+
+    /// The walk `percentile` used for every `pct` before it learned to
+    /// start from the nearer end: bottom-up over all buckets. Kept as
+    /// the oracle for the top-down half.
+    fn percentile_bottom_up(s: &QuantileSketch, pct: f64) -> u64 {
+        if s.total == 0 {
+            return 0;
+        }
+        let target = ((pct / 100.0) * s.total as f64).ceil().max(1.0) as u64;
+        let mut seen = s.zero_count;
+        if seen >= target {
+            return 0;
+        }
+        for (&key, &count) in &s.buckets {
+            seen += count;
+            if seen >= target {
+                return s.value_for(key).clamp(s.min, s.max);
+            }
+        }
+        s.max
+    }
+
+    /// Every `pct` worth asking: a fine grid over `[0, 100]` plus the
+    /// exact rank boundaries `100·k/n` of an `n`-value sketch and their
+    /// float neighbours.
+    fn probe_pcts(n: u64) -> Vec<f64> {
+        let mut pcts: Vec<f64> = (0..=1000).map(|i| f64::from(i) / 10.0).collect();
+        for k in 0..=n.min(64) {
+            let exact = 100.0 * k as f64 / n.max(1) as f64;
+            pcts.extend([exact, exact - 1e-9, exact + 1e-9]);
+        }
+        pcts.retain(|p| (0.0..=100.0).contains(p));
+        pcts
+    }
+
+    #[test]
+    fn top_down_walk_picks_the_bottom_up_bucket() {
+        // Deterministic LCG: random sketches of every shape the walk
+        // branches on — zeros only, zeros + values, one bucket, many.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 33
+        };
+        for case in 0..300u64 {
+            let mut s = QuantileSketch::new(if case % 2 == 0 { 0.01 } else { 0.05 });
+            let distinct = match case % 5 {
+                0 => 0, // zero bucket only
+                1 => 1, // single log bucket
+                _ => 1 + next() % 40,
+            };
+            if case % 3 != 1 {
+                s.record_n(0, next() % 4); // maybe a zero bucket too
+            }
+            if distinct == 0 {
+                s.record_n(0, 1 + next() % 5);
+            }
+            for _ in 0..distinct {
+                let magnitude = next() % 40;
+                s.record_n(1 + (next() % (1 << magnitude).max(1)), 1 + next() % 6);
+            }
+            for pct in probe_pcts(s.len()) {
+                assert_eq!(
+                    s.percentile(pct),
+                    percentile_bottom_up(&s, pct),
+                    "case {case} pct {pct} sketch {s:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_median_boundary_uses_either_walk_interchangeably() {
+        // pct = 50 is where the walk direction flips: ranks on both
+        // sides of it, over an even and an odd count, agree with the
+        // oracle bucket by bucket.
+        for n in [1u64, 2, 3, 4, 7, 8, 100, 101] {
+            let mut s = QuantileSketch::new(0.01);
+            for i in 0..n {
+                s.record(10u64.pow((i % 6) as u32) * (i + 1));
+            }
+            for pct in [49.0, 49.999_999, 50.0, 50.000_001, 51.0] {
+                assert_eq!(
+                    s.percentile(pct),
+                    percentile_bottom_up(&s, pct),
+                    "n {n} pct {pct}"
+                );
+            }
+        }
     }
 }

@@ -17,7 +17,6 @@
 
 use crate::deadline::RequestClass;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Admission tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,24 +91,47 @@ impl std::fmt::Display for ShedReason {
 #[derive(Debug)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
-    total: Arc<AtomicU64>,
-    background: Arc<AtomicU64>,
+    total: AtomicU64,
+    background: AtomicU64,
 }
 
 /// RAII inflight-slot guard: dropping it releases the slot. Exactly one
-/// guard exists per admitted request, on every exit path.
+/// guard exists per admitted request, on every exit path. It borrows
+/// the controller that admitted it.
 #[derive(Debug)]
-pub struct AdmissionSlot {
-    total: Arc<AtomicU64>,
-    background: Option<Arc<AtomicU64>>,
+pub struct AdmissionSlot<'a> {
+    controller: &'a AdmissionController,
+    /// Whether the slot also counts against the background cap.
+    background: bool,
 }
 
-impl Drop for AdmissionSlot {
+impl Drop for AdmissionSlot<'_> {
     fn drop(&mut self) {
-        if let Some(bg) = &self.background {
-            bg.fetch_sub(1, Ordering::AcqRel);
+        if self.background {
+            self.controller.background.fetch_sub(1, Ordering::AcqRel);
         }
-        self.total.fetch_sub(1, Ordering::AcqRel);
+        self.controller.total.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// An [`AdmissionSlot`] detached from its borrow of the controller, so
+/// a batch can keep the slots it holds in storage that outlives the
+/// call (reused buffers). It still *is* the slot: hand it back through
+/// [`AdmissionController::unpark`], or the slot stays occupied.
+#[derive(Debug)]
+#[must_use = "a parked slot stays occupied until it is unparked and dropped"]
+pub struct ParkedSlot {
+    background: bool,
+}
+
+impl AdmissionSlot<'_> {
+    /// Detaches the slot from its controller without releasing it.
+    pub fn park(self) -> ParkedSlot {
+        let parked = ParkedSlot {
+            background: self.background,
+        };
+        std::mem::forget(self);
+        parked
     }
 }
 
@@ -138,8 +160,8 @@ impl AdmissionController {
     pub fn new(cfg: AdmissionConfig) -> Self {
         Self {
             cfg,
-            total: Arc::new(AtomicU64::new(0)),
-            background: Arc::new(AtomicU64::new(0)),
+            total: AtomicU64::new(0),
+            background: AtomicU64::new(0),
         }
     }
 
@@ -163,35 +185,41 @@ impl AdmissionController {
         class: RequestClass,
         budget_ns: Option<u64>,
         feasibility_floor_ns: u64,
-    ) -> Result<AdmissionSlot, ShedReason> {
+    ) -> Result<AdmissionSlot<'_>, ShedReason> {
         if let Some(budget) = budget_ns {
             if budget < feasibility_floor_ns {
                 return Err(ShedReason::DeadlineInfeasible);
             }
         }
-        let background = match class {
-            RequestClass::Ull => None,
-            RequestClass::Background => {
-                let bg_limit = self
-                    .cfg
-                    .max_inflight
-                    .saturating_sub(self.cfg.ull_reserve.min(self.cfg.max_inflight));
-                if !try_acquire(&self.background, bg_limit) {
-                    return Err(ShedReason::ReservedForUll);
-                }
-                Some(Arc::clone(&self.background))
+        let background = class == RequestClass::Background;
+        if background {
+            let bg_limit = self
+                .cfg
+                .max_inflight
+                .saturating_sub(self.cfg.ull_reserve.min(self.cfg.max_inflight));
+            if !try_acquire(&self.background, bg_limit) {
+                return Err(ShedReason::ReservedForUll);
             }
-        };
+        }
         if !try_acquire(&self.total, self.cfg.max_inflight) {
-            if let Some(bg) = &background {
-                bg.fetch_sub(1, Ordering::AcqRel);
+            if background {
+                self.background.fetch_sub(1, Ordering::AcqRel);
             }
             return Err(ShedReason::QueueFull);
         }
         Ok(AdmissionSlot {
-            total: Arc::clone(&self.total),
+            controller: self,
             background,
         })
+    }
+
+    /// Re-attaches a slot this controller admitted and the caller
+    /// [`park`](AdmissionSlot::park)ed.
+    pub fn unpark(&self, parked: ParkedSlot) -> AdmissionSlot<'_> {
+        AdmissionSlot {
+            controller: self,
+            background: parked.background,
+        }
     }
 }
 
@@ -253,5 +281,23 @@ mod tests {
         assert_eq!(ctl.inflight(), 8);
         drop(slots);
         assert_eq!(ctl.inflight(), 0);
+    }
+
+    #[test]
+    fn a_parked_slot_stays_held_until_unparked_and_dropped() {
+        let ctl = AdmissionController::new(AdmissionConfig {
+            max_inflight: 2,
+            ull_reserve: 1,
+        });
+        let parked = ctl.admit(RequestClass::Background, None, 0).unwrap().park();
+        assert_eq!(ctl.inflight(), 1, "parking releases nothing");
+        assert_eq!(
+            ctl.admit(RequestClass::Background, None, 0).unwrap_err(),
+            ShedReason::ReservedForUll,
+            "the background cap still counts it"
+        );
+        drop(ctl.unpark(parked));
+        assert_eq!(ctl.inflight(), 0);
+        assert!(ctl.admit(RequestClass::Background, None, 0).is_ok());
     }
 }

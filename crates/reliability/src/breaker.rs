@@ -20,10 +20,8 @@
 //! closed-vocabulary telemetry counters get bumped (this crate stays
 //! independent of the telemetry recorder).
 
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// Breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,9 +110,9 @@ pub enum BreakerTransition {
     Closed,
 }
 
-#[derive(Debug)]
+/// The window and probe bookkeeping behind a breaker's state word.
+#[derive(Debug, Default)]
 struct Core {
-    state: BreakerState,
     /// Rolling outcome bitset: bit i set = i-th most recent outcome
     /// failed.
     failures: u64,
@@ -125,17 +123,6 @@ struct Core {
 }
 
 impl Core {
-    fn new() -> Self {
-        Self {
-            state: BreakerState::Closed,
-            failures: 0,
-            filled: 0,
-            opened_at_tick: 0,
-            probes_inflight: 0,
-            probe_successes: 0,
-        }
-    }
-
     fn window_mask(cfg: &BreakerConfig) -> u64 {
         let w = cfg.window.clamp(1, 64);
         if w == 64 {
@@ -156,58 +143,97 @@ impl Core {
         }
         self.failures.count_ones() as f64 / f64::from(self.filled)
     }
-
-    fn trip_open(&mut self, tick: u64) {
-        self.state = BreakerState::Open;
-        self.opened_at_tick = tick;
-        self.probes_inflight = 0;
-        self.probe_successes = 0;
-    }
 }
+
+/// State word of a pair no `allow`/`record` has touched yet: Closed,
+/// but not listed by [`BreakerRegistry::states`] nor reset by
+/// [`BreakerRegistry::on_host_join`] — what an absent map entry used to
+/// mean.
+const UNSEEN: u8 = 0;
+const CLOSED: u8 = 1;
+const OPEN: u8 = 2;
+const HALF_OPEN: u8 = 3;
 
 /// One (function, host) circuit breaker.
-#[derive(Debug)]
+///
+/// The state lives in one atomic word that is only ever *written*
+/// under the `core` mutex (`Release`) — every transition and every
+/// `record` still serializes there — but can be *read* without it
+/// (`Acquire`): a Closed breaker, the steady state, answers
+/// [`Self::allow`] with that single load. Such an answer linearizes at
+/// the load: Closed-`allow` mutates nothing, so it is indistinguishable
+/// from the locked decision taken at that instant, and a thread that
+/// learned of a trip (through `record`'s return value or anything
+/// ordered after it) can no longer load `CLOSED`.
+#[derive(Debug, Default)]
 pub struct Breaker {
+    state: AtomicU8,
     core: Mutex<Core>,
-}
-
-impl Default for Breaker {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Breaker {
     /// A fresh closed breaker.
     pub fn new() -> Self {
-        Self {
-            core: Mutex::new(Core::new()),
-        }
+        Self::default()
     }
 
     /// Current state (open breakers relax to half-open lazily inside
     /// [`Self::allow`], so this is the state as of the last decision).
     pub fn state(&self) -> BreakerState {
-        self.core.lock().state
+        match self.state.load(Ordering::Acquire) {
+            OPEN => BreakerState::Open,
+            HALF_OPEN => BreakerState::HalfOpen,
+            _ => BreakerState::Closed,
+        }
+    }
+
+    /// Whether `allow`/`record` ever touched this breaker.
+    fn seen(&self) -> bool {
+        self.state.load(Ordering::Acquire) != UNSEEN
+    }
+
+    /// Publishes a new state. Callers hold the `core` lock.
+    fn set(&self, state: u8) {
+        self.state.store(state, Ordering::Release);
+    }
+
+    /// The state as the holder of the `core` lock sees it, marking the
+    /// breaker seen on first touch.
+    fn locked_state(&self) -> BreakerState {
+        if !self.seen() {
+            self.set(CLOSED);
+        }
+        self.state()
+    }
+
+    fn trip_open(&self, core: &mut Core, tick: u64) {
+        self.set(OPEN);
+        core.opened_at_tick = tick;
+        core.probes_inflight = 0;
+        core.probe_successes = 0;
     }
 
     /// Asks whether a request may flow through this pair at `tick`.
     /// Open→half-open relaxation happens here; the returned transition
     /// (if any) is what the caller should tally.
     pub fn allow(&self, tick: u64, cfg: &BreakerConfig) -> (bool, Option<BreakerTransition>) {
+        if !cfg.forced_open && self.state.load(Ordering::Acquire) == CLOSED {
+            return (true, None);
+        }
         let mut core = self.core.lock();
+        let state = self.locked_state();
         if cfg.forced_open {
-            if core.state != BreakerState::Open {
-                core.trip_open(tick);
+            if state != BreakerState::Open {
+                self.trip_open(&mut core, tick);
                 return (false, Some(BreakerTransition::Opened));
             }
             return (false, None);
         }
-        match core.state {
+        match state {
             BreakerState::Closed => (true, None),
             BreakerState::Open => {
                 if tick.saturating_sub(core.opened_at_tick) >= cfg.open_cooldown {
-                    core.state = BreakerState::HalfOpen;
+                    self.set(HALF_OPEN);
                     core.probes_inflight = 1;
                     core.probe_successes = 0;
                     (true, Some(BreakerTransition::HalfOpened))
@@ -230,16 +256,17 @@ impl Breaker {
     /// (if any).
     pub fn record(&self, ok: bool, tick: u64, cfg: &BreakerConfig) -> Option<BreakerTransition> {
         let mut core = self.core.lock();
+        let state = self.locked_state();
         if cfg.forced_open {
             return None;
         }
-        match core.state {
+        match state {
             BreakerState::Closed => {
                 core.push_outcome(ok, cfg);
                 if core.filled >= cfg.min_samples.max(1)
                     && core.failure_rate() >= cfg.failure_threshold
                 {
-                    core.trip_open(tick);
+                    self.trip_open(&mut core, tick);
                     return Some(BreakerTransition::Opened);
                 }
                 None
@@ -249,7 +276,7 @@ impl Breaker {
                 if ok {
                     core.probe_successes += 1;
                     if core.probe_successes >= cfg.close_after.max(1) {
-                        core.state = BreakerState::Closed;
+                        self.set(CLOSED);
                         core.failures = 0;
                         core.filled = 0;
                         core.probe_successes = 0;
@@ -257,7 +284,7 @@ impl Breaker {
                     }
                     None
                 } else {
-                    core.trip_open(tick);
+                    self.trip_open(&mut core, tick);
                     Some(BreakerTransition::Opened)
                 }
             }
@@ -270,7 +297,7 @@ impl Breaker {
     /// join: earn trust through probes instead of getting full traffic).
     pub fn force_half_open(&self) {
         let mut core = self.core.lock();
-        core.state = BreakerState::HalfOpen;
+        self.set(HALF_OPEN);
         core.failures = 0;
         core.filled = 0;
         core.probes_inflight = 0;
@@ -278,32 +305,51 @@ impl Breaker {
     }
 }
 
-/// Registry of breakers keyed by (function id, host index), plus
-/// per-run transition tallies for the SLO report.
-#[derive(Debug, Default)]
+/// Registry of breakers for a fleet of `hosts` hosts: a dense
+/// `[function × host]` table (one row per function, grown by
+/// [`Self::add_function`]; ids are the row and column indices), plus
+/// per-run transition tallies for the SLO report. A pair outside the
+/// table — an unregistered function — has no breaker: it always admits
+/// and records nothing.
+#[derive(Debug)]
 pub struct BreakerRegistry {
-    breakers: RwLock<HashMap<(u64, usize), Arc<Breaker>>>,
+    hosts: usize,
+    breakers: Vec<Breaker>,
     opened: AtomicU64,
     half_opened: AtomicU64,
     closed: AtomicU64,
 }
 
 impl BreakerRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty registry (no functions yet) for `hosts` hosts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hosts` is zero.
+    pub fn new(hosts: usize) -> Self {
+        assert!(hosts > 0, "a breaker table needs at least one host column");
+        Self {
+            hosts,
+            breakers: Vec::new(),
+            opened: AtomicU64::new(0),
+            half_opened: AtomicU64::new(0),
+            closed: AtomicU64::new(0),
+        }
     }
 
-    fn breaker(&self, function: u64, host: usize) -> Arc<Breaker> {
-        if let Some(b) = self.breakers.read().get(&(function, host)) {
-            return Arc::clone(b);
+    /// Appends the row of the next function id: one untouched breaker
+    /// per host.
+    pub fn add_function(&mut self) {
+        let len = self.breakers.len() + self.hosts;
+        self.breakers.resize_with(len, Breaker::new);
+    }
+
+    fn breaker(&self, function: u64, host: usize) -> Option<&Breaker> {
+        if host >= self.hosts {
+            return None;
         }
-        Arc::clone(
-            self.breakers
-                .write()
-                .entry((function, host))
-                .or_insert_with(|| Arc::new(Breaker::new())),
-        )
+        let row = usize::try_from(function).ok()?.checked_mul(self.hosts)?;
+        self.breakers.get(row.checked_add(host)?)
     }
 
     fn tally(&self, transition: BreakerTransition) {
@@ -324,7 +370,10 @@ impl BreakerRegistry {
         tick: u64,
         cfg: &BreakerConfig,
     ) -> (bool, Option<BreakerTransition>) {
-        let (allowed, transition) = self.breaker(function, host).allow(tick, cfg);
+        let Some(breaker) = self.breaker(function, host) else {
+            return (true, None);
+        };
+        let (allowed, transition) = breaker.allow(tick, cfg);
         if let Some(t) = transition {
             self.tally(t);
         }
@@ -341,7 +390,7 @@ impl BreakerRegistry {
         tick: u64,
         cfg: &BreakerConfig,
     ) -> Option<BreakerTransition> {
-        let transition = self.breaker(function, host).record(ok, tick, cfg);
+        let transition = self.breaker(function, host)?.record(ok, tick, cfg);
         if let Some(t) = transition {
             self.tally(t);
         }
@@ -350,33 +399,30 @@ impl BreakerRegistry {
 
     /// Current state of a pair (Closed if never seen).
     pub fn state(&self, function: u64, host: usize) -> BreakerState {
-        self.breakers
-            .read()
-            .get(&(function, host))
-            .map_or(BreakerState::Closed, |b| b.state())
+        self.breaker(function, host)
+            .map_or(BreakerState::Closed, Breaker::state)
     }
 
-    /// A re-joining host must earn trust: every breaker targeting it is
-    /// reset to half-open so traffic returns via probes.
+    /// A re-joining host must earn trust: every breaker targeting it
+    /// that has seen traffic is reset to half-open so traffic returns
+    /// via probes.
     pub fn on_host_join(&self, host: usize) {
-        for ((_, h), b) in self.breakers.read().iter() {
-            if *h == host {
-                b.force_half_open();
-            }
+        let column = self.breakers.iter().skip(host).step_by(self.hosts);
+        for b in column.filter(|b| b.seen()) {
+            b.force_half_open();
         }
     }
 
-    /// Snapshot of every tracked pair's current state, sorted by
-    /// (function, host) so exposition order is deterministic.
+    /// Snapshot of the current state of every pair that has seen
+    /// traffic, sorted by (function, host) so exposition order is
+    /// deterministic.
     pub fn states(&self) -> Vec<((u64, usize), BreakerState)> {
-        let mut states: Vec<_> = self
-            .breakers
-            .read()
+        self.breakers
             .iter()
-            .map(|(&key, b)| (key, b.state()))
-            .collect();
-        states.sort_by_key(|&(key, _)| key);
-        states
+            .enumerate()
+            .filter(|(_, b)| b.seen())
+            .map(|(i, b)| (((i / self.hosts) as u64, i % self.hosts), b.state()))
+            .collect()
     }
 
     /// Transition tallies so far: (opened, half_opened, closed).
@@ -462,9 +508,18 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Open);
     }
 
+    /// A registry of `hosts` hosts with `functions` rows.
+    fn registry(hosts: usize, functions: usize) -> BreakerRegistry {
+        let mut reg = BreakerRegistry::new(hosts);
+        for _ in 0..functions {
+            reg.add_function();
+        }
+        reg
+    }
+
     #[test]
     fn registry_tallies_and_resets_on_join() {
-        let reg = BreakerRegistry::new();
+        let reg = registry(1, 3);
         let cfg = cfg();
         for i in 0..4 {
             reg.record(1, 0, false, i, &cfg);
@@ -478,5 +533,53 @@ mod tests {
         reg.on_host_join(0);
         assert_eq!(reg.state(1, 0), BreakerState::HalfOpen);
         assert!(reg.allow(1, 0, 6, &cfg).0, "probe admitted after join");
+    }
+
+    #[test]
+    fn untouched_pairs_stay_unlisted_and_lazily_closed() {
+        // The dense table holds every pair from registration on; only
+        // pairs that saw an `allow` or a `record` may show up in
+        // `states()` (the `horse_breaker_state` rows) or be put on
+        // probation by a join — as when absent map entries meant
+        // "never seen".
+        let reg = registry(2, 2);
+        let cfg = cfg();
+        assert!(reg.states().is_empty(), "reads do not mark pairs seen");
+        assert_eq!(reg.state(1, 1), BreakerState::Closed);
+        assert!(reg.states().is_empty());
+        assert_eq!(reg.allow(0, 1, 0, &cfg), (true, None));
+        assert_eq!(reg.record(1, 0, true, 1, &cfg), None);
+        assert_eq!(
+            reg.states(),
+            vec![
+                ((0, 1), BreakerState::Closed),
+                ((1, 0), BreakerState::Closed)
+            ],
+            "sorted by (function, host), seen pairs only"
+        );
+        // Host 1 rejoins: its one seen pair goes on probation, the
+        // untouched (1, 1) stays lazily Closed and unlisted.
+        reg.on_host_join(1);
+        assert_eq!(reg.state(0, 1), BreakerState::HalfOpen);
+        assert_eq!(reg.state(1, 1), BreakerState::Closed);
+        assert_eq!(reg.state(1, 0), BreakerState::Closed, "other column");
+        assert_eq!(reg.states().len(), 2);
+        assert_eq!(reg.allow(1, 1, 2, &cfg), (true, None));
+        assert_eq!(reg.states().len(), 3, "first touch lists the pair");
+    }
+
+    #[test]
+    fn pairs_outside_the_table_admit_and_record_nothing() {
+        let reg = registry(2, 1);
+        let cfg = cfg();
+        for tick in 0..20 {
+            assert_eq!(reg.allow(5, 0, tick, &cfg), (true, None));
+            assert_eq!(reg.record(5, 0, false, tick, &cfg), None);
+            assert_eq!(reg.allow(0, 2, tick, &cfg), (true, None), "host column");
+        }
+        assert_eq!(reg.state(5, 0), BreakerState::Closed);
+        assert_eq!(reg.state(u64::MAX, 1), BreakerState::Closed);
+        assert!(reg.states().is_empty());
+        assert_eq!(reg.transition_counts(), (0, 0, 0));
     }
 }

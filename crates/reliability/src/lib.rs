@@ -37,7 +37,7 @@ pub mod retry;
 pub mod stats;
 pub mod submission;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionSlot, ShedReason};
+pub use admission::{AdmissionConfig, AdmissionController, AdmissionSlot, ParkedSlot, ShedReason};
 pub use breaker::{Breaker, BreakerConfig, BreakerRegistry, BreakerState, BreakerTransition};
 pub use deadline::{Deadline, DeadlineBoundary, RequestClass};
 pub use hedge::{resolve_first_wins, HedgeConfig, HedgeResolution, LatencyProfiles};
