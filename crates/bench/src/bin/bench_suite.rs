@@ -20,8 +20,9 @@
 //!
 //! * `bench_suite --seed 42 --out results` — run and write artifacts;
 //! * `bench_suite --against results/bench_baseline.json` — also compare
-//!   every `*_ns` leaf against the committed baseline and exit non-zero
-//!   when any leaf drifts beyond the noise band (the CI perf gate);
+//!   every `*_ns` leaf against the committed baseline
+//!   ([`horse_bench::gate`]) and exit non-zero when any leaf drifts
+//!   beyond the ±10 % band (the CI perf gate);
 //! * `bench_suite --write-baseline` — regenerate the committed
 //!   baseline's section for this seed;
 //! * `bench_suite --slowdown-splice 2 --against ...` — scale the
@@ -53,17 +54,17 @@
 //!   costs the same beside 63 paused peers as alone (< 2×).
 
 use std::collections::BTreeMap;
-use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use horse_bench::gate::{cost_model, git_sha, num, obj, passed, write_json, GateOptions};
 use horse_bench::{paper_sched_config, policy_for};
 use horse_faas::{Cluster, DispatchPolicy, FaasError, HostId, PlatformConfig, StartStrategy};
 use horse_metrics::export::write_chrome_trace;
 use horse_metrics::{Histogram, RobustSummary, TailAttribution};
 use horse_telemetry::forensics::{chrome_trace_with_flows, ForensicIndex, SpanTree};
-use horse_telemetry::json::{self, JsonValue};
+use horse_telemetry::json::JsonValue;
 use horse_telemetry::{Recorder, TraceSnapshot};
 use horse_vmm::{CostModel, PausePolicy, ResumeMode, ResumeStep, SandboxConfig, SplicePool, Vmm};
 use horse_workloads::Category;
@@ -75,13 +76,6 @@ const SCHEMA_E2E_FORENSICS: &str = "horse-bench/e2e-forensics/1";
 const WORST_TREES: usize = 16;
 const SCHEMA_THROUGHPUT: &str = "horse-bench/throughput/1";
 const SCHEMA_WALLCLOCK: &str = "horse-bench/wallclock/1";
-const SCHEMA_BASELINE: &str = "horse-bench/baseline/1";
-
-/// Relative drift tolerated per `*_ns` leaf by `--against`. The model is
-/// deterministic, so an unchanged tree reproduces the baseline exactly;
-/// the band only absorbs deliberate small calibration adjustments. A 2×
-/// splice-path slowdown sits far outside it.
-const NOISE_BAND: f64 = 0.10;
 
 /// vCPU points of the micro sections (ends of the paper's Figure 2–3
 /// sweep plus the mid-range knee).
@@ -103,11 +97,8 @@ const THROUGHPUT_INVOCATIONS: u64 = 4_000;
 /// Largest supported `--threads` entry.
 const MAX_THREADS: usize = 16;
 
+/// `bench_suite`'s own flags (the shared four are [`GateOptions`]).
 struct Options {
-    seed: u64,
-    out: String,
-    against: Option<String>,
-    write_baseline: bool,
     slowdown_splice: f64,
     throughput: bool,
     threads: Vec<usize>,
@@ -126,12 +117,8 @@ const USAGE: &str = "usage: bench_suite [--seed <u64>] [--out <dir>] \
      [--wall-clock-resume] [--serial-splice]";
 
 impl Options {
-    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(GateOptions, Self), String> {
         let mut opts = Options {
-            seed: 42,
-            out: "results".to_string(),
-            against: None,
-            write_baseline: false,
             slowdown_splice: 1.0,
             throughput: false,
             threads: vec![1, 4],
@@ -142,34 +129,20 @@ impl Options {
             wall_clock_resume: false,
             serial_splice: false,
         };
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .ok_or_else(|| format!("{flag} needs a value; {USAGE}"))
-            };
-            match flag.as_str() {
-                "--seed" => {
-                    opts.seed = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --seed: {e}; {USAGE}"))?;
-                }
-                "--out" => opts.out = value()?,
-                "--against" => opts.against = Some(value()?),
-                "--write-baseline" => opts.write_baseline = true,
-                "--slowdown-splice" => {
-                    opts.slowdown_splice = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --slowdown-splice: {e}; {USAGE}"))?;
-                    if !opts.slowdown_splice.is_finite() || opts.slowdown_splice <= 0.0 {
-                        return Err(format!("--slowdown-splice must be positive; {USAGE}"));
-                    }
-                }
+        let positive = |flag: &str, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                Ok(v)
+            } else {
+                Err(format!("{flag} must be positive; {USAGE}"))
+            }
+        };
+        let gate = GateOptions::parse(args, USAGE, |flag, value| {
+            match flag {
+                "--slowdown-splice" => opts.slowdown_splice = positive(flag, value.parsed()?)?,
                 "--throughput" => opts.throughput = true,
                 "--threads" => {
-                    let list = value()?;
                     let mut threads = Vec::new();
-                    for part in list.split(',') {
+                    for part in value.text()?.split(',') {
                         let n: usize = part
                             .trim()
                             .parse()
@@ -183,43 +156,23 @@ impl Options {
                             threads.push(n);
                         }
                     }
-                    if threads.is_empty() {
-                        return Err(format!("--threads needs at least one entry; {USAGE}"));
-                    }
                     opts.threads = threads;
                 }
                 "--invocations" => {
-                    opts.invocations = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --invocations: {e}; {USAGE}"))?;
+                    opts.invocations = value.parsed()?;
                     if opts.invocations == 0 {
                         return Err(format!("--invocations must be positive; {USAGE}"));
                     }
                 }
-                "--gate-speedup" => {
-                    let g: f64 = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --gate-speedup: {e}; {USAGE}"))?;
-                    if !g.is_finite() || g <= 0.0 {
-                        return Err(format!("--gate-speedup must be positive; {USAGE}"));
-                    }
-                    opts.gate_speedup = Some(g);
-                }
-                "--gate-min-ips" => {
-                    let g: f64 = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --gate-min-ips: {e}; {USAGE}"))?;
-                    if !g.is_finite() || g <= 0.0 {
-                        return Err(format!("--gate-min-ips must be positive; {USAGE}"));
-                    }
-                    opts.gate_min_ips = Some(g);
-                }
+                "--gate-speedup" => opts.gate_speedup = Some(positive(flag, value.parsed()?)?),
+                "--gate-min-ips" => opts.gate_min_ips = Some(positive(flag, value.parsed()?)?),
                 "--disable-batching" => opts.disable_batching = true,
                 "--wall-clock-resume" => opts.wall_clock_resume = true,
                 "--serial-splice" => opts.serial_splice = true,
-                other => return Err(format!("unknown flag {other}; {USAGE}")),
+                _ => return Ok(false),
             }
-        }
+            Ok(true)
+        })?;
         if opts.serial_splice && !opts.wall_clock_resume {
             return Err(format!(
                 "--serial-splice requires --wall-clock-resume; {USAGE}"
@@ -247,37 +200,8 @@ impl Options {
                 ));
             }
         }
-        Ok(opts)
+        Ok((gate, opts))
     }
-}
-
-fn git_sha() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// The calibrated model with the 𝒫²𝒮ℳ splice path scaled by `factor`
-/// (1.0 = faithful). Used by CI to prove the gate catches a splice-path
-/// regression.
-fn cost_model(factor: f64) -> CostModel {
-    let mut cost = CostModel::calibrated();
-    cost.horse_merge_base_ns *= factor;
-    cost.splice_thread_ns *= factor;
-    cost
-}
-
-fn obj(entries: Vec<(String, JsonValue)>) -> JsonValue {
-    JsonValue::Object(entries.into_iter().collect::<BTreeMap<_, _>>())
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
 }
 
 /// One deterministic pause/resume cycle under `cost`.
@@ -938,96 +862,15 @@ fn throughput_run_json(run: &ThroughputRun) -> JsonValue {
     obj(entry)
 }
 
-/// Flattens every numeric leaf whose key ends in `_ns` to
-/// `(dotted.path, value)` — the latency surface the gate compares.
-fn latency_leaves(value: &JsonValue, prefix: &str, out: &mut BTreeMap<String, f64>) {
-    if let JsonValue::Object(map) = value {
-        for (key, child) in map {
-            let path = if prefix.is_empty() {
-                key.clone()
-            } else {
-                format!("{prefix}.{key}")
-            };
-            match child {
-                JsonValue::Number(n) if key.ends_with("_ns") => {
-                    out.insert(path, *n);
-                }
-                _ => latency_leaves(child, &path, out),
-            }
-        }
-    }
-}
-
-/// Compares current sections against the baseline's entry for `seed`.
-/// Returns the list of violations (empty = gate passes).
-///
-/// The comparison is *section-scoped*: only baseline sections (top-level
-/// keys of the seed entry, e.g. `resume_doc`, `throughput_doc`,
-/// `profile_doc`) that the current run also produced are compared, so a
-/// baseline carrying `profile_report`'s section does not fail a
-/// `bench_suite` run that never measures it — each binary gates the
-/// sections it owns.
-fn compare(baseline: &JsonValue, seed: u64, current: &JsonValue) -> Result<Vec<String>, String> {
-    if baseline.get("schema").and_then(|v| v.as_str()) != Some(SCHEMA_BASELINE) {
-        return Err(format!("baseline schema is not {SCHEMA_BASELINE}"));
-    }
-    let entry = baseline
-        .get("seeds")
-        .and_then(|s| s.get(&seed.to_string()))
-        .ok_or_else(|| format!("baseline has no entry for seed {seed}"))?;
-    let (JsonValue::Object(entry_map), JsonValue::Object(current_map)) = (entry, current) else {
-        return Err(format!("baseline entry for seed {seed} is not an object"));
-    };
-    let mut expected = BTreeMap::new();
-    for (section, child) in entry_map {
-        if current_map.contains_key(section) {
-            latency_leaves(child, section, &mut expected);
-        } else {
-            println!("perf gate: skipping baseline section {section} (not produced by this run)");
-        }
-    }
-    let mut actual = BTreeMap::new();
-    latency_leaves(current, "", &mut actual);
-    if expected.is_empty() {
-        return Err(format!(
-            "baseline entry for seed {seed} has no *_ns leaves in any section this run produced"
-        ));
-    }
-
-    let mut violations = Vec::new();
-    for (path, base) in &expected {
-        match actual.get(path) {
-            None => violations.push(format!("{path}: present in baseline, missing in run")),
-            Some(cur) => {
-                let drift = (cur - base).abs() / base.abs().max(1.0);
-                if drift > NOISE_BAND {
-                    violations.push(format!(
-                        "{path}: {base:.0} ns -> {cur:.0} ns ({:+.1} % > ±{:.0} % band)",
-                        100.0 * (cur - base) / base.abs().max(1.0),
-                        100.0 * NOISE_BAND
-                    ));
-                }
-            }
-        }
-    }
-    Ok(violations)
-}
-
-fn write_json(path: &str, value: &JsonValue) {
-    let mut text = value.render();
-    text.push('\n');
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-}
-
 fn main() {
-    let opts = match Options::parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
+    let (gate, opts) = match Options::parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(2);
         }
     };
-    std::fs::create_dir_all(&opts.out).expect("create out dir");
+    std::fs::create_dir_all(&gate.out).expect("create out dir");
     let sha = git_sha();
     let cost = cost_model(opts.slowdown_splice);
 
@@ -1035,29 +878,29 @@ fn main() {
     let resume_doc = obj(vec![
         ("schema".into(), JsonValue::String(SCHEMA_RESUME.into())),
         ("git_sha".into(), JsonValue::String(sha.clone())),
-        ("seed".into(), num(opts.seed as f64)),
+        ("seed".into(), num(gate.seed as f64)),
         ("slowdown_splice".into(), num(opts.slowdown_splice)),
         ("resume".into(), resume),
         ("merge".into(), merge),
         ("coalesce".into(), coalesce),
     ]);
-    let resume_path = format!("{}/BENCH_resume.json", opts.out);
+    let resume_path = format!("{}/BENCH_resume.json", gate.out);
     write_json(&resume_path, &resume_doc);
 
-    let (e2e_section, snapshot) = e2e_soak(opts.seed, &cost);
+    let (e2e_section, snapshot) = e2e_soak(gate.seed, &cost);
     let e2e_doc = obj(vec![
         ("schema".into(), JsonValue::String(SCHEMA_E2E.into())),
         ("git_sha".into(), JsonValue::String(sha.clone())),
-        ("seed".into(), num(opts.seed as f64)),
+        ("seed".into(), num(gate.seed as f64)),
         ("slowdown_splice".into(), num(opts.slowdown_splice)),
         ("e2e".into(), e2e_section),
     ]);
-    let e2e_path = format!("{}/BENCH_e2e.json", opts.out);
+    let e2e_path = format!("{}/BENCH_e2e.json", gate.out);
     write_json(&e2e_path, &e2e_doc);
 
     // Sample Chrome trace of the soak — uploaded by CI next to the JSON
     // so a regression comes with the trace that explains it.
-    let trace_path = format!("{}/BENCH_e2e.trace.json", opts.out);
+    let trace_path = format!("{}/BENCH_e2e.trace.json", gate.out);
     write_chrome_trace(&trace_path, &snapshot).expect("write sample trace");
     if snapshot.dropped > 0 {
         eprintln!(
@@ -1085,7 +928,7 @@ fn main() {
             JsonValue::String(SCHEMA_E2E_FORENSICS.into()),
         ),
         ("git_sha".into(), JsonValue::String(sha.clone())),
-        ("seed".into(), num(opts.seed as f64)),
+        ("seed".into(), num(gate.seed as f64)),
         ("trees".into(), num(forensics.trees.len() as f64)),
         ("orphan_events".into(), num(forensics.orphan_events as f64)),
         ("extra_roots".into(), num(forensics.extra_roots as f64)),
@@ -1113,9 +956,9 @@ fn main() {
             ),
         ),
     ]);
-    let forensics_path = format!("{}/BENCH_e2e.forensics.json", opts.out);
+    let forensics_path = format!("{}/BENCH_e2e.forensics.json", gate.out);
     write_json(&forensics_path, &forensics_doc);
-    let forensics_trace_path = format!("{}/BENCH_e2e.forensics.trace.json", opts.out);
+    let forensics_trace_path = format!("{}/BENCH_e2e.forensics.trace.json", gate.out);
     let mut forensics_trace = chrome_trace_with_flows(worst.iter().copied());
     forensics_trace.push('\n');
     std::fs::write(&forensics_trace_path, forensics_trace)
@@ -1131,7 +974,7 @@ fn main() {
     );
     println!(
         "{resume_path}: {SCHEMA_RESUME} (sha {sha}, seed {})",
-        opts.seed
+        gate.seed
     );
     println!(
         "{e2e_path}: {SCHEMA_E2E} ({} traced events)",
@@ -1156,7 +999,7 @@ fn main() {
         let mut all_runs = Vec::new();
         for &threads in &opts.threads {
             let run = throughput_run(
-                opts.seed,
+                gate.seed,
                 &cost,
                 threads,
                 opts.invocations,
@@ -1225,7 +1068,7 @@ fn main() {
                 JsonValue::String(SCHEMA_THROUGHPUT.into()),
             ),
             ("git_sha".to_string(), JsonValue::String(sha.clone())),
-            ("seed".to_string(), num(opts.seed as f64)),
+            ("seed".to_string(), num(gate.seed as f64)),
             ("hosts".to_string(), num(THROUGHPUT_HOSTS as f64)),
             (
                 "provisioned_per_host".to_string(),
@@ -1256,7 +1099,7 @@ fn main() {
             ));
         }
         let throughput_doc = obj(throughput_entries);
-        let throughput_path = format!("{}/BENCH_throughput.json", opts.out);
+        let throughput_path = format!("{}/BENCH_throughput.json", gate.out);
         write_json(&throughput_path, &throughput_doc);
         println!(
             "{throughput_path}: {SCHEMA_THROUGHPUT} (Histogram::record = {record_cost:.1} ns/op)"
@@ -1269,10 +1112,14 @@ fn main() {
     // deterministic, so nothing here may join the baseline gate.
     let mut wall_failures: Vec<String> = Vec::new();
     if opts.wall_clock_resume {
+        // `--serial-splice`: the "parallel" sweep splices on the calling
+        // thread, which must trip the sub-linearity gate below.
         let parallel_pool = || {
-            let mut pool = SplicePool::parallel(WALL_WORKERS);
-            pool.set_serial(opts.serial_splice);
-            pool
+            if opts.serial_splice {
+                SplicePool::inline()
+            } else {
+                SplicePool::parallel(WALL_WORKERS)
+            }
         };
         let horse = wall_sweep(
             &cost,
@@ -1412,7 +1259,7 @@ fn main() {
         let wall_doc = obj(vec![
             ("schema".into(), JsonValue::String(SCHEMA_WALLCLOCK.into())),
             ("git_sha".into(), JsonValue::String(sha.clone())),
-            ("seed".into(), num(opts.seed as f64)),
+            ("seed".into(), num(gate.seed as f64)),
             ("splice_workers".into(), num(WALL_WORKERS as f64)),
             ("wake_emulation_nanos".into(), num(WALL_WAKE_NANOS as f64)),
             ("repetitions".into(), num(WALL_REPS as f64)),
@@ -1438,7 +1285,7 @@ fn main() {
             ),
             ("peers".into(), JsonValue::Object(peers_json)),
         ]);
-        let wall_path = format!("{}/BENCH_wallclock.json", opts.out);
+        let wall_path = format!("{}/BENCH_wallclock.json", gate.out);
         write_json(&wall_path, &wall_doc);
         println!(
             "{wall_path}: {SCHEMA_WALLCLOCK} (horse {horse_growth:.1}x, \
@@ -1448,95 +1295,10 @@ fn main() {
 
     let sections = obj(section_entries);
 
-    if opts.write_baseline {
-        let path = format!("{}/bench_baseline.json", opts.out);
-        // The baseline is committed *before* the commit it will gate, so
-        // an embedded sha would always name the wrong tree — drop it.
-        let mut sections = sections.clone();
-        if let JsonValue::Object(docs) = &mut sections {
-            for doc in docs.values_mut() {
-                if let JsonValue::Object(map) = doc {
-                    map.remove("git_sha");
-                }
-            }
-        }
-        let mut seeds = match std::fs::read_to_string(&path) {
-            Ok(text) => match json::parse(&text).expect("existing baseline parses") {
-                JsonValue::Object(mut map) => match map.remove("seeds") {
-                    Some(JsonValue::Object(seeds)) => seeds,
-                    _ => BTreeMap::new(),
-                },
-                _ => BTreeMap::new(),
-            },
-            Err(_) => BTreeMap::new(),
-        };
-        // Merge at the section level: sections other binaries own (e.g.
-        // `profile_report`'s `profile_doc`) survive a bench_suite
-        // baseline refresh, and vice versa.
-        let mut entry = match seeds.remove(&opts.seed.to_string()) {
-            Some(JsonValue::Object(existing)) => existing,
-            _ => BTreeMap::new(),
-        };
-        if let JsonValue::Object(new_sections) = &sections {
-            for (k, v) in new_sections {
-                entry.insert(k.clone(), v.clone());
-            }
-        }
-        seeds.insert(opts.seed.to_string(), JsonValue::Object(entry));
-        let baseline = obj(vec![
-            ("schema".into(), JsonValue::String(SCHEMA_BASELINE.into())),
-            ("seeds".into(), JsonValue::Object(seeds)),
-        ]);
-        write_json(&path, &baseline);
-        println!("{path}: baseline updated for seed {}", opts.seed);
-    }
-
-    if let Some(baseline_path) = &opts.against {
-        let text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
-        let baseline = json::parse(&text).expect("baseline is valid JSON");
-        match compare(&baseline, opts.seed, &sections) {
-            Ok(violations) if violations.is_empty() => {
-                println!(
-                    "perf gate: all *_ns leaves within ±{:.0} % of {baseline_path} (seed {})",
-                    100.0 * NOISE_BAND,
-                    opts.seed
-                );
-            }
-            Ok(violations) => {
-                eprintln!(
-                    "perf gate FAILED against {baseline_path} (seed {}): {} leaf(s) out of band",
-                    opts.seed,
-                    violations.len()
-                );
-                for v in &violations {
-                    eprintln!("  {v}");
-                }
-                std::process::exit(1);
-            }
-            Err(msg) => {
-                eprintln!("perf gate error: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    if !throughput_failures.is_empty() {
-        eprintln!(
-            "throughput suite FAILED: {} problem(s)",
-            throughput_failures.len()
-        );
-        for f in &throughput_failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
-
-    if !wall_failures.is_empty() {
-        eprintln!("wall-clock gate FAILED: {} problem(s)", wall_failures.len());
-        for f in &wall_failures {
-            eprintln!("  {f}");
-        }
+    let held = gate.settle(&sections)
+        && passed("throughput suite", &throughput_failures)
+        && passed("wall-clock gate", &wall_failures);
+    if !held {
         std::process::exit(1);
     }
 }

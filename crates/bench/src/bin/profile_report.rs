@@ -29,8 +29,9 @@
 //!
 //! * `profile_report --seed 42 --out results` — run and write artifacts;
 //! * `profile_report --against results/bench_baseline.json` — compare
-//!   the gated leaves against the committed baseline's `profile_doc`
-//!   section and exit non-zero beyond ±10 % (the CI profile gate);
+//!   the `gate` leaves against the committed baseline's `profile_doc`
+//!   section ([`horse_bench::gate`]) and exit non-zero beyond ±10 % (the
+//!   CI profile gate);
 //! * `profile_report --write-baseline` — merge this seed's
 //!   `profile_doc` section into the committed baseline, preserving the
 //!   sections other binaries own;
@@ -45,13 +46,13 @@
 //!   test).
 
 use std::collections::BTreeMap;
-use std::process::Command;
 
+use horse_bench::gate::{git_sha, num, obj, write_json, GateOptions};
 use horse_faas::{Cluster, DispatchPolicy, HostId, PlatformConfig, StartStrategy};
 use horse_metrics::Histogram;
 use horse_telemetry::alloc::PhaseAllocStats;
 use horse_telemetry::contention::{self, ContentionSite, SiteStats};
-use horse_telemetry::json::{self, JsonValue};
+use horse_telemetry::json::JsonValue;
 use horse_telemetry::{profiling, CountingAlloc, Recorder};
 use horse_vmm::{SandboxConfig, SplicePool};
 use horse_workloads::Category;
@@ -63,12 +64,6 @@ use horse_workloads::Category;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const SCHEMA_PROFILE: &str = "horse-bench/profile/1";
-const SCHEMA_BASELINE: &str = "horse-bench/baseline/1";
-
-/// Relative drift tolerated per gated leaf by `--against` (the issue's
-/// ±10 % band; the workload is deterministic, so an unchanged tree
-/// reproduces the baseline exactly).
-const NOISE_BAND: f64 = 0.10;
 
 /// Nominal cost charged per timed-lock acquisition when computing the
 /// deterministic `gate.lock_wait_ns` leaf (an uncontended parking_lot
@@ -89,11 +84,8 @@ const HORSE_ROUNDS: usize = 200;
 /// one-time pool fills run before the measured window opens.
 const WARMUP_ROUNDS: usize = 16;
 
+/// `profile_report`'s own flags (the shared four are [`GateOptions`]).
 struct Options {
-    seed: u64,
-    out: String,
-    against: Option<String>,
-    write_baseline: bool,
     inflate_allocs: u64,
     inflate_locks: u64,
     gate_zero_alloc: bool,
@@ -104,58 +96,23 @@ const USAGE: &str = "usage: profile_report [--seed <u64>] [--out <dir>] \
      [--inflate-locks <u64>] [--gate-zero-alloc]";
 
 impl Options {
-    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(GateOptions, Self), String> {
         let mut opts = Options {
-            seed: 42,
-            out: "results".to_string(),
-            against: None,
-            write_baseline: false,
             inflate_allocs: 0,
             inflate_locks: 0,
             gate_zero_alloc: false,
         };
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .ok_or_else(|| format!("{flag} needs a value; {USAGE}"))
-            };
-            match flag.as_str() {
-                "--seed" => {
-                    opts.seed = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --seed: {e}; {USAGE}"))?;
-                }
-                "--out" => opts.out = value()?,
-                "--against" => opts.against = Some(value()?),
-                "--write-baseline" => opts.write_baseline = true,
-                "--inflate-allocs" => {
-                    opts.inflate_allocs = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --inflate-allocs: {e}; {USAGE}"))?;
-                }
-                "--inflate-locks" => {
-                    opts.inflate_locks = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --inflate-locks: {e}; {USAGE}"))?;
-                }
+        let gate = GateOptions::parse(args, USAGE, |flag, value| {
+            match flag {
+                "--inflate-allocs" => opts.inflate_allocs = value.parsed()?,
+                "--inflate-locks" => opts.inflate_locks = value.parsed()?,
                 "--gate-zero-alloc" => opts.gate_zero_alloc = true,
-                other => return Err(format!("unknown flag {other}; {USAGE}")),
+                _ => return Ok(false),
             }
-        }
-        Ok(opts)
+            Ok(true)
+        })?;
+        Ok((gate, opts))
     }
-}
-
-fn git_sha() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Everything one measured soak produces.
@@ -178,9 +135,8 @@ struct SoakResult {
 /// Runs the seeded single-driver soak. With `profiled`, the counting
 /// allocator and contention counters are live (and reset first); the
 /// virtual-latency results must be identical either way.
-fn soak(opts: &Options, profiled: bool) -> SoakResult {
+fn soak(seed: u64, opts: &Options, profiled: bool) -> SoakResult {
     let Options {
-        seed,
         inflate_allocs,
         inflate_locks,
         ..
@@ -319,14 +275,6 @@ fn total_allocs() -> u64 {
     horse_telemetry::alloc::total_allocs()
 }
 
-fn obj(entries: Vec<(String, JsonValue)>) -> JsonValue {
-    JsonValue::Object(entries.into_iter().collect::<BTreeMap<_, _>>())
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
 /// The deterministic sections of `BENCH_profile.json` (everything the
 /// baseline stores).
 fn deterministic_sections(r: &SoakResult) -> Vec<(String, JsonValue)> {
@@ -434,89 +382,22 @@ fn virt_fingerprint(r: &SoakResult) -> Vec<u64> {
         .collect()
 }
 
-/// Flattens every numeric leaf to `(dotted.path, value)`.
-fn numeric_leaves(value: &JsonValue, prefix: &str, out: &mut BTreeMap<String, f64>) {
-    if let JsonValue::Object(map) = value {
-        for (key, child) in map {
-            let path = if prefix.is_empty() {
-                key.clone()
-            } else {
-                format!("{prefix}.{key}")
-            };
-            match child {
-                JsonValue::Number(n) => {
-                    out.insert(path, *n);
-                }
-                _ => numeric_leaves(child, &path, out),
-            }
-        }
-    }
-}
-
-/// Compares this run's gated leaves against the baseline's
-/// `profile_doc.gate` for `seed`. Returns violations (empty = pass).
-fn compare_gate(baseline: &JsonValue, seed: u64, gate: &JsonValue) -> Result<Vec<String>, String> {
-    if baseline.get("schema").and_then(|v| v.as_str()) != Some(SCHEMA_BASELINE) {
-        return Err(format!("baseline schema is not {SCHEMA_BASELINE}"));
-    }
-    let expected_gate = baseline
-        .get("seeds")
-        .and_then(|s| s.get(&seed.to_string()))
-        .and_then(|e| e.get("profile_doc"))
-        .and_then(|d| d.get("gate"))
-        .ok_or_else(|| {
-            format!("baseline has no profile_doc.gate for seed {seed} (run --write-baseline)")
-        })?;
-    let mut expected = BTreeMap::new();
-    numeric_leaves(expected_gate, "gate", &mut expected);
-    let mut actual = BTreeMap::new();
-    numeric_leaves(gate, "gate", &mut actual);
-    if expected.is_empty() {
-        return Err(format!(
-            "baseline profile_doc.gate for seed {seed} is empty"
-        ));
-    }
-    let mut violations = Vec::new();
-    for (path, base) in &expected {
-        match actual.get(path) {
-            None => violations.push(format!("{path}: present in baseline, missing in run")),
-            Some(cur) => {
-                let drift = (cur - base).abs() / base.abs().max(1.0);
-                if drift > NOISE_BAND {
-                    violations.push(format!(
-                        "{path}: {base:.1} -> {cur:.1} ({:+.1} % > ±{:.0} % band)",
-                        100.0 * (cur - base) / base.abs().max(1.0),
-                        100.0 * NOISE_BAND
-                    ));
-                }
-            }
-        }
-    }
-    Ok(violations)
-}
-
-fn write_json(path: &str, value: &JsonValue) {
-    let mut text = value.render();
-    text.push('\n');
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-}
-
 fn main() {
-    let opts = match Options::parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
+    let (gate, opts) = match Options::parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(2);
         }
     };
-    std::fs::create_dir_all(&opts.out).expect("create out dir");
+    std::fs::create_dir_all(&gate.out).expect("create out dir");
     let sha = git_sha();
 
     // Run 1 + 2 (profiled): the determinism self-check. Every gated
     // number must reproduce exactly — the gate is only sound if the
     // measurement is.
-    let first = soak(&opts, true);
-    let second = soak(&opts, true);
+    let first = soak(gate.seed, &opts, true);
+    let second = soak(gate.seed, &opts, true);
     let first_sections = obj(deterministic_sections(&first));
     let second_sections = obj(deterministic_sections(&second));
     if first_sections.render() != second_sections.render() {
@@ -531,7 +412,7 @@ fn main() {
 
     // Run 3 (unprofiled): profiling must be observation-only — the
     // virtual results of the pipeline are bit-identical either way.
-    let unprofiled = soak(&opts, false);
+    let unprofiled = soak(gate.seed, &opts, false);
     let bit_identical = virt_fingerprint(&unprofiled) == virt_fingerprint(&first);
     if !bit_identical {
         eprintln!("profile_report: enabling profiling changed virtual latencies — the plane");
@@ -545,7 +426,7 @@ fn main() {
             JsonValue::String(SCHEMA_PROFILE.into()),
         ),
         ("git_sha".to_string(), JsonValue::String(sha.clone())),
-        ("seed".to_string(), num(opts.seed as f64)),
+        ("seed".to_string(), num(gate.seed as f64)),
         (
             "inflate_allocs".to_string(),
             num(opts.inflate_allocs as f64),
@@ -565,11 +446,11 @@ fn main() {
         ("warm", first.warm_allocs as f64 / WARM_ROUNDS as f64),
         (
             "horse",
-            horse_allocs_per_invoke(opts.seed, SplicePool::inline),
+            horse_allocs_per_invoke(gate.seed, SplicePool::inline),
         ),
         (
             "horse_parallel2",
-            horse_allocs_per_invoke(opts.seed, || SplicePool::parallel(2)),
+            horse_allocs_per_invoke(gate.seed, || SplicePool::parallel(2)),
         ),
     ];
     doc_entries.push((
@@ -581,9 +462,9 @@ fn main() {
     ));
     let doc = obj(doc_entries);
 
-    let json_path = format!("{}/BENCH_profile.json", opts.out);
+    let json_path = format!("{}/BENCH_profile.json", gate.out);
     write_json(&json_path, &doc);
-    let prom_path = format!("{}/BENCH_profile.prom", opts.out);
+    let prom_path = format!("{}/BENCH_profile.prom", gate.out);
     horse_metrics::export::write_prometheus_page(
         &prom_path,
         &first.snapshot,
@@ -592,16 +473,17 @@ fn main() {
     )
     .expect("write prometheus page");
 
-    let gate = doc.get("gate").expect("doc carries gate").clone();
-    let mut gate_leaves = BTreeMap::new();
-    numeric_leaves(&gate, "gate", &mut gate_leaves);
     println!(
         "{json_path}: {SCHEMA_PROFILE} (sha {sha}, seed {})",
-        opts.seed
+        gate.seed
     );
     println!("{prom_path}: Prometheus text-format page");
-    for (path, v) in &gate_leaves {
-        println!("  {path} = {v:.2}");
+    if let Some(JsonValue::Object(gate)) = doc.get("gate") {
+        for (leaf, v) in gate {
+            if let JsonValue::Number(v) = v {
+                println!("  gate.{leaf} = {v:.2}");
+            }
+        }
     }
 
     // The exact-zero gate: the steady-state warm and HORSE paths recycle
@@ -625,67 +507,8 @@ fn main() {
         println!("zero-alloc gate: 0 allocations per warm, horse and horse_parallel2 invoke");
     }
 
-    if opts.write_baseline {
-        let path = format!("{}/bench_baseline.json", opts.out);
-        let mut seeds = match std::fs::read_to_string(&path) {
-            Ok(text) => match json::parse(&text).expect("existing baseline parses") {
-                JsonValue::Object(mut map) => match map.remove("seeds") {
-                    Some(JsonValue::Object(seeds)) => seeds,
-                    _ => BTreeMap::new(),
-                },
-                _ => BTreeMap::new(),
-            },
-            Err(_) => BTreeMap::new(),
-        };
-        // Merge at the section level: bench_suite's sections survive a
-        // profile baseline refresh, and vice versa.
-        let mut entry = match seeds.remove(&opts.seed.to_string()) {
-            Some(JsonValue::Object(existing)) => existing,
-            _ => BTreeMap::new(),
-        };
-        entry.insert(
-            "profile_doc".to_string(),
-            obj(deterministic_sections(&first)),
-        );
-        seeds.insert(opts.seed.to_string(), JsonValue::Object(entry));
-        let baseline = obj(vec![
-            ("schema".into(), JsonValue::String(SCHEMA_BASELINE.into())),
-            ("seeds".into(), JsonValue::Object(seeds)),
-        ]);
-        write_json(&path, &baseline);
-        println!(
-            "{path}: profile_doc baseline updated for seed {}",
-            opts.seed
-        );
-    }
-
-    if let Some(baseline_path) = &opts.against {
-        let text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
-        let baseline = json::parse(&text).expect("baseline is valid JSON");
-        match compare_gate(&baseline, opts.seed, &gate) {
-            Ok(violations) if violations.is_empty() => {
-                println!(
-                    "profile gate: all gated leaves within ±{:.0} % of {baseline_path} (seed {})",
-                    100.0 * NOISE_BAND,
-                    opts.seed
-                );
-            }
-            Ok(violations) => {
-                eprintln!(
-                    "profile gate FAILED against {baseline_path} (seed {}): {} leaf(s) out of band",
-                    opts.seed,
-                    violations.len()
-                );
-                for v in &violations {
-                    eprintln!("  {v}");
-                }
-                std::process::exit(1);
-            }
-            Err(msg) => {
-                eprintln!("profile gate error: {msg}");
-                std::process::exit(1);
-            }
-        }
+    // The baseline stores (and gates on) the deterministic sections only.
+    if !gate.settle(&obj(vec![("profile_doc".to_string(), first_sections)])) {
+        std::process::exit(1);
     }
 }

@@ -35,8 +35,8 @@
 //!
 //! * `slo_report --seed 42 --out results` — run and write artifacts;
 //! * `slo_report --against results/bench_baseline.json` — additionally
-//!   compare the gated leaves against the committed baseline's
-//!   `slo_doc` section (±10 % band, same contract as the profile gate);
+//!   compare the `gate` leaves against the committed baseline's
+//!   `slo_doc` section ([`horse_bench::gate`]: ±10 % relative band);
 //! * `slo_report --write-baseline` — merge this seed's `slo_doc`
 //!   section into the baseline, preserving sections other binaries own;
 //! * `slo_report --no-churn` — static fleet (used by the CI matrix to
@@ -50,8 +50,8 @@
 //!   monitor (the forensics negative self-test).
 
 use std::collections::BTreeMap;
-use std::process::Command;
 
+use horse_bench::gate::{cost_model, git_sha, num, obj, write_json, GateOptions};
 use horse_faas::{
     Cluster, DispatchPolicy, Disposition, FunctionId, HostId, PlatformConfig, Request,
     StartStrategy,
@@ -64,19 +64,15 @@ use horse_reliability::{
 };
 use horse_sim::rng::SeedFactory;
 use horse_telemetry::forensics::{outcome, ForensicIndex};
-use horse_telemetry::json::{self, JsonValue};
+use horse_telemetry::json::JsonValue;
 use horse_telemetry::{Recorder, TelemetryConfig};
-use horse_vmm::{CostModel, SandboxConfig};
+use horse_vmm::SandboxConfig;
 use horse_workloads::Category;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 const SCHEMA_SLO: &str = "horse-bench/slo/1";
 const SCHEMA_FORENSICS: &str = "horse-bench/forensics/1";
-const SCHEMA_BASELINE: &str = "horse-bench/baseline/1";
-
-/// Relative drift tolerated per gated leaf by `--against`.
-const NOISE_BAND: f64 = 0.10;
 
 const HOSTS: usize = 6;
 /// The soak stops at the first round boundary past this many
@@ -115,11 +111,8 @@ const OBJECTIVES: [Objective; 2] = [
     },
 ];
 
+/// `slo_report`'s own flags (the shared four are [`GateOptions`]).
 struct Options {
-    seed: u64,
-    out: String,
-    against: Option<String>,
-    write_baseline: bool,
     churn: bool,
     force_open: bool,
     slowdown_splice: f64,
@@ -130,54 +123,23 @@ const USAGE: &str = "usage: slo_report [--seed <u64>] [--out <dir>] \
      [--force-open-breakers] [--slowdown-splice <factor>]";
 
 impl Options {
-    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<(GateOptions, Self), String> {
         let mut opts = Options {
-            seed: 42,
-            out: "results".to_string(),
-            against: None,
-            write_baseline: false,
             churn: true,
             force_open: false,
             slowdown_splice: 1.0,
         };
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .ok_or_else(|| format!("{flag} needs a value; {USAGE}"))
-            };
-            match flag.as_str() {
-                "--seed" => {
-                    opts.seed = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --seed: {e}; {USAGE}"))?;
-                }
-                "--out" => opts.out = value()?,
-                "--against" => opts.against = Some(value()?),
-                "--write-baseline" => opts.write_baseline = true,
+        let gate = GateOptions::parse(args, USAGE, |flag, value| {
+            match flag {
                 "--no-churn" => opts.churn = false,
                 "--force-open-breakers" => opts.force_open = true,
-                "--slowdown-splice" => {
-                    opts.slowdown_splice = value()?
-                        .parse()
-                        .map_err(|e| format!("bad --slowdown-splice: {e}; {USAGE}"))?;
-                }
-                other => return Err(format!("unknown flag {other}; {USAGE}")),
+                "--slowdown-splice" => opts.slowdown_splice = value.parsed()?,
+                _ => return Ok(false),
             }
-        }
-        Ok(opts)
+            Ok(true)
+        })?;
+        Ok((gate, opts))
     }
-}
-
-fn git_sha() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Per-class external ledger, built from returned dispositions.
@@ -293,17 +255,6 @@ fn bg_request(f: FunctionId, rng: &mut StdRng) -> Request {
             None
         },
     }
-}
-
-/// The calibrated cost model with the 𝒫²𝒮ℳ splice path scaled by
-/// `factor` (1.0 = faithful) — the burn-rate monitor's negative
-/// self-test injects a latency regression exactly where the paper's
-/// resume path is most sensitive.
-fn cost_model(factor: f64) -> CostModel {
-    let mut cost = CostModel::calibrated();
-    cost.horse_merge_base_ns *= factor;
-    cost.splice_thread_ns *= factor;
-    cost
 }
 
 fn soak(seed: u64, churn: bool, force_open: bool, slowdown_splice: f64) -> SoakResult {
@@ -452,14 +403,6 @@ fn soak(seed: u64, churn: bool, force_open: bool, slowdown_splice: f64) -> SoakR
     }
 }
 
-fn obj(entries: Vec<(String, JsonValue)>) -> JsonValue {
-    JsonValue::Object(entries.into_iter().collect::<BTreeMap<_, _>>())
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
 fn class_section(t: &ClassTally) -> JsonValue {
     obj(vec![
         ("submissions".into(), num(t.submissions as f64)),
@@ -529,85 +472,20 @@ fn deterministic_sections(r: &SoakResult) -> Vec<(String, JsonValue)> {
     ]
 }
 
-/// Flattens every numeric leaf to `(dotted.path, value)`.
-fn numeric_leaves(value: &JsonValue, prefix: &str, out: &mut BTreeMap<String, f64>) {
-    if let JsonValue::Object(map) = value {
-        for (key, child) in map {
-            let path = if prefix.is_empty() {
-                key.clone()
-            } else {
-                format!("{prefix}.{key}")
-            };
-            match child {
-                JsonValue::Number(n) => {
-                    out.insert(path, *n);
-                }
-                _ => numeric_leaves(child, &path, out),
-            }
-        }
-    }
-}
-
-/// Compares this run's gated leaves against the baseline's
-/// `slo_doc.gate` for `seed`. Returns violations (empty = pass).
-fn compare_gate(baseline: &JsonValue, seed: u64, gate: &JsonValue) -> Result<Vec<String>, String> {
-    if baseline.get("schema").and_then(|v| v.as_str()) != Some(SCHEMA_BASELINE) {
-        return Err(format!("baseline schema is not {SCHEMA_BASELINE}"));
-    }
-    let expected_gate = baseline
-        .get("seeds")
-        .and_then(|s| s.get(&seed.to_string()))
-        .and_then(|e| e.get("slo_doc"))
-        .and_then(|d| d.get("gate"))
-        .ok_or_else(|| {
-            format!("baseline has no slo_doc.gate for seed {seed} (run --write-baseline)")
-        })?;
-    let mut expected = BTreeMap::new();
-    numeric_leaves(expected_gate, "gate", &mut expected);
-    let mut actual = BTreeMap::new();
-    numeric_leaves(gate, "gate", &mut actual);
-    if expected.is_empty() {
-        return Err(format!("baseline slo_doc.gate for seed {seed} is empty"));
-    }
-    let mut violations = Vec::new();
-    for (path, base) in &expected {
-        match actual.get(path) {
-            None => violations.push(format!("{path}: present in baseline, missing in run")),
-            Some(cur) => {
-                let drift = (cur - base).abs() / base.abs().max(1.0);
-                if drift > NOISE_BAND {
-                    violations.push(format!(
-                        "{path}: {base:.4} -> {cur:.4} ({:+.1} % > ±{:.0} % band)",
-                        100.0 * (cur - base) / base.abs().max(1.0),
-                        100.0 * NOISE_BAND
-                    ));
-                }
-            }
-        }
-    }
-    Ok(violations)
-}
-
-fn write_json(path: &str, value: &JsonValue) {
-    let mut text = value.render();
-    text.push('\n');
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-}
-
 fn main() {
-    let opts = match Options::parse(std::env::args().skip(1)) {
-        Ok(opts) => opts,
+    let (gate, opts) = match Options::parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}");
             std::process::exit(2);
         }
     };
-    std::fs::create_dir_all(&opts.out).expect("create out dir");
+    std::fs::create_dir_all(&gate.out).expect("create out dir");
     let sha = git_sha();
     println!(
         "slo soak: {TARGET_SUBMISSIONS}+ submissions, {HOSTS} hosts, seed {}, churn {}, \
          forced-open {}",
-        opts.seed,
+        gate.seed,
         if opts.churn { "on" } else { "off" },
         opts.force_open
     );
@@ -616,8 +494,8 @@ fn main() {
 
     // The soak runs twice: the reliability plane promises bit-identical
     // replay per seed, and the gate is only sound if it delivers.
-    let run_a = soak(opts.seed, opts.churn, opts.force_open, opts.slowdown_splice);
-    let run_b = soak(opts.seed, opts.churn, opts.force_open, opts.slowdown_splice);
+    let run_a = soak(gate.seed, opts.churn, opts.force_open, opts.slowdown_splice);
+    let run_b = soak(gate.seed, opts.churn, opts.force_open, opts.slowdown_splice);
     let forensics_a = ForensicIndex::stitch(&run_a.snapshot);
     let forensics_b = ForensicIndex::stitch(&run_b.snapshot);
     let sections_a = obj(deterministic_sections(&run_a));
@@ -629,7 +507,7 @@ fn main() {
         println!(
             "determinism: OK — two seed-{} runs, identical books, disposition fingerprint \
              {:#018x}, forensic fingerprint {:#018x}",
-            opts.seed,
+            gate.seed,
             run_a.fingerprint,
             forensics_a.fingerprint()
         );
@@ -796,7 +674,7 @@ fn main() {
     let mut doc_entries = vec![
         ("schema".to_string(), JsonValue::String(SCHEMA_SLO.into())),
         ("git_sha".to_string(), JsonValue::String(sha.clone())),
-        ("seed".to_string(), num(opts.seed as f64)),
+        ("seed".to_string(), num(gate.seed as f64)),
         ("churn_enabled".to_string(), JsonValue::Bool(opts.churn)),
         (
             "force_open_breakers".to_string(),
@@ -818,9 +696,9 @@ fn main() {
     doc_entries.extend(deterministic_sections(&run_a));
     let doc = obj(doc_entries);
 
-    let json_path = format!("{}/BENCH_slo.json", opts.out);
+    let json_path = format!("{}/BENCH_slo.json", gate.out);
     write_json(&json_path, &doc);
-    let prom_path = format!("{}/BENCH_slo.prom", opts.out);
+    let prom_path = format!("{}/BENCH_slo.prom", gate.out);
     horse_metrics::export::write_prometheus_page(
         &prom_path,
         &run_a.snapshot,
@@ -850,7 +728,7 @@ fn main() {
     let mut prom_text = std::fs::read_to_string(&prom_path).expect("read prometheus page back");
     prom_text.push_str(&breaker_page.finish());
     std::fs::write(&prom_path, prom_text).expect("append breaker gauge");
-    println!("{json_path}: {SCHEMA_SLO} (sha {sha}, seed {})", opts.seed);
+    println!("{json_path}: {SCHEMA_SLO} (sha {sha}, seed {})", gate.seed);
     println!("{prom_path}: Prometheus text-format page (+ horse_breaker_state gauge)");
 
     // Postmortem artifacts: the stitch ledger + burn windows + flight
@@ -862,7 +740,7 @@ fn main() {
             JsonValue::String(SCHEMA_FORENSICS.into()),
         ),
         ("git_sha".to_string(), JsonValue::String(sha.clone())),
-        ("seed".to_string(), num(opts.seed as f64)),
+        ("seed".to_string(), num(gate.seed as f64)),
         ("slowdown_splice".to_string(), num(opts.slowdown_splice)),
         (
             "stitch".to_string(),
@@ -890,9 +768,9 @@ fn main() {
         ("burn".to_string(), monitor.to_json()),
         ("flight_recorder".to_string(), flight.to_json()),
     ]);
-    let forensics_path = format!("{}/BENCH_forensics.json", opts.out);
+    let forensics_path = format!("{}/BENCH_forensics.json", gate.out);
     write_json(&forensics_path, &forensics_doc);
-    let trace_path = format!("{}/BENCH_forensics.trace.json", opts.out);
+    let trace_path = format!("{}/BENCH_forensics.trace.json", gate.out);
     let mut trace_text = flight.to_chrome_trace();
     trace_text.push('\n');
     std::fs::write(&trace_path, trace_text).unwrap_or_else(|e| panic!("write {trace_path}: {e}"));
@@ -909,56 +787,8 @@ fn main() {
         print!("{}", worst_ull.render_ascii());
     }
 
-    if opts.write_baseline {
-        let path = format!("{}/bench_baseline.json", opts.out);
-        let mut seeds = match std::fs::read_to_string(&path) {
-            Ok(text) => match json::parse(&text).expect("existing baseline parses") {
-                JsonValue::Object(mut map) => match map.remove("seeds") {
-                    Some(JsonValue::Object(seeds)) => seeds,
-                    _ => BTreeMap::new(),
-                },
-                _ => BTreeMap::new(),
-            },
-            Err(_) => BTreeMap::new(),
-        };
-        // Merge at the section level: other binaries' sections survive
-        // an SLO baseline refresh, and vice versa.
-        let mut entry = match seeds.remove(&opts.seed.to_string()) {
-            Some(JsonValue::Object(existing)) => existing,
-            _ => BTreeMap::new(),
-        };
-        entry.insert("slo_doc".to_string(), obj(deterministic_sections(&run_a)));
-        seeds.insert(opts.seed.to_string(), JsonValue::Object(entry));
-        let baseline = obj(vec![
-            ("schema".into(), JsonValue::String(SCHEMA_BASELINE.into())),
-            ("seeds".into(), JsonValue::Object(seeds)),
-        ]);
-        write_json(&path, &baseline);
-        println!("{path}: slo_doc baseline updated for seed {}", opts.seed);
-    }
-
-    if let Some(baseline_path) = &opts.against {
-        let text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("read {baseline_path}: {e}"));
-        let baseline = json::parse(&text).expect("baseline is valid JSON");
-        let gate = doc.get("gate").expect("doc carries gate").clone();
-        match compare_gate(&baseline, opts.seed, &gate) {
-            Ok(violations) if violations.is_empty() => {
-                println!("baseline gate: OK — every slo_doc.gate leaf within ±10 %");
-            }
-            Ok(violations) => {
-                println!("baseline gate: FAILED");
-                for v in &violations {
-                    println!("  {v}");
-                }
-                failed = true;
-            }
-            Err(e) => {
-                println!("baseline gate: ERROR — {e}");
-                failed = true;
-            }
-        }
-    }
+    // The baseline stores (and gates on) the deterministic sections only.
+    failed |= !gate.settle(&obj(vec![("slo_doc".to_string(), sections_a)]));
 
     if failed {
         std::process::exit(1);

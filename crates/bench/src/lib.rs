@@ -19,6 +19,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod gate;
+
 use horse_metrics::RunningStats;
 use horse_sched::{CpuTopology, GovernorPolicy, SchedConfig, SchedFlavor};
 use horse_vmm::{CostModel, PausePolicy, ResumeBreakdown, ResumeMode, SandboxConfig, Vmm};

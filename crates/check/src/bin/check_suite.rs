@@ -13,9 +13,9 @@
 use horse_check::{
     check_linearizable_bounded, coalesce_oracle_case, explore, explore_handoff, explore_resident,
     explore_ring, explore_splice, merge_oracle_case, run_pool_trajectory, vmm_differential_case,
-    Event, ExploreConfig, HandoffExploreConfig, History, LinearizeError, Mutation, PoolOp,
-    PoolResult, ResidentExploreConfig, RingExploreConfig, SchedulePolicy, SpliceExploreConfig,
-    TickSource,
+    Event, Exploration, ExploreConfig, HandoffExploreConfig, History, LinearizeError, Mutation,
+    PoolOp, PoolResult, ResidentExploreConfig, RingExploreConfig, SchedulePolicy,
+    SpliceExploreConfig, TickSource,
 };
 use horse_faas::{KeepAlive, ShardedWarmPool};
 use horse_sched::SandboxId;
@@ -56,12 +56,12 @@ impl Suite {
 
     /// Runs one stepped explorer under every schedule policy on three
     /// consecutive seeds; each violation fails `section`, reported with
-    /// the `(violation, decisions)` pair needed to replay it.
-    fn explore_schedules(
+    /// the decision sequence needed to replay it.
+    fn explore_schedules<S>(
         &mut self,
         section: &str,
         label: &str,
-        run: impl Fn(SchedulePolicy, u64) -> (Option<String>, Vec<usize>),
+        run: impl Fn(SchedulePolicy, u64) -> Exploration<S>,
     ) {
         for policy in [
             SchedulePolicy::RoundRobin,
@@ -70,11 +70,13 @@ impl Suite {
         ] {
             for i in 0..3u64 {
                 let seed = self.seed.wrapping_add(i);
-                if let (Some(v), decisions) = run(policy, seed) {
+                let r = run(policy, seed);
+                if let Some(v) = r.violation {
                     self.fail(
                         section,
                         format!(
-                            "{label}policy {policy} seed {seed}: {v}\n  schedule decisions: {decisions:?}"
+                            "{label}policy {policy} seed {seed}: {v}\n  schedule decisions: {:?}",
+                            r.decisions
                         ),
                     );
                 }
@@ -277,8 +279,8 @@ fn main() {
         }
     });
 
-    // 3. Pool trajectory equivalence: SpecPool vs WarmPool vs
-    //    ShardedWarmPool on identical single-threaded op sequences.
+    // 3. Pool trajectory equivalence: SpecPool vs ShardedWarmPool on
+    //    identical single-threaded op sequences.
     suite.section("pool-trajectory", |s| {
         for case in 0..cases / 4 {
             if let Err(e) = run_pool_trajectory(s.seed, case, 300) {
@@ -291,10 +293,7 @@ fn main() {
     // 4. Deterministic interleaving exploration of the sharded pool.
     suite.section("explore", |s| {
         let cfg = ExploreConfig::default();
-        s.explore_schedules("explore", "", |policy, seed| {
-            let r = explore(&cfg, policy, seed);
-            (r.violation, r.decisions)
-        });
+        s.explore_schedules("explore", "", |policy, seed| explore(&cfg, policy, seed));
     });
 
     // 4b. Deterministic interleaving exploration of the batched invoke
@@ -303,8 +302,7 @@ fn main() {
     suite.section("ring-explore", |s| {
         let cfg = RingExploreConfig::default();
         s.explore_schedules("ring-explore", "", |policy, seed| {
-            let r = explore_ring(&cfg, policy, seed);
-            (r.violation, r.decisions)
+            explore_ring(&cfg, policy, seed)
         });
     });
 
@@ -326,12 +324,10 @@ fn main() {
             ..HandoffExploreConfig::default()
         };
         s.explore_schedules("splice-explore", "", |policy, seed| {
-            let r = explore_splice(&cfg, policy, seed);
-            (r.violation, r.decisions)
+            explore_splice(&cfg, policy, seed)
         });
         s.explore_schedules("splice-explore", "hand-off, ", |policy, seed| {
-            let r = explore_handoff(&handoff_cfg, policy, seed);
-            (r.violation, r.decisions)
+            explore_handoff(&handoff_cfg, policy, seed)
         });
     });
 
@@ -347,8 +343,7 @@ fn main() {
             ..ResidentExploreConfig::default()
         };
         s.explore_schedules("resident-explore", "", |policy, seed| {
-            let r = explore_resident(&cfg, policy, seed);
-            (r.violation, r.decisions)
+            explore_resident(&cfg, policy, seed)
         });
     });
 

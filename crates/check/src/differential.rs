@@ -15,7 +15,7 @@
 use crate::mutate::Mutation;
 use crate::spec::{SpecLoad, SpecPool, SpecRunQueue};
 use horse_core::{Arena, LoadUpdate, MergePlan, SortedList, SpliceMode};
-use horse_faas::{KeepAlive, ShardedWarmPool, WarmPool};
+use horse_faas::{KeepAlive, ShardedWarmPool};
 use horse_sched::{SandboxId, Vcpu};
 use horse_sim::{SimDuration, SimTime};
 use horse_vmm::{CostModel, PausePolicy, ResumeMode, SandboxConfig, Vmm};
@@ -219,28 +219,25 @@ pub fn coalesce_oracle_case(
     Ok(())
 }
 
-/// Single-threaded trajectory equivalence: drives [`SpecPool`],
-/// `WarmPool` and `ShardedWarmPool` with one identical randomized
-/// operation sequence under a TTL keep-alive and requires:
+/// Single-threaded trajectory equivalence: drives [`SpecPool`] and
+/// `ShardedWarmPool` with one identical randomized operation sequence
+/// under a TTL keep-alive and requires:
 ///
-/// * identical take results at every step (single-threaded, all three
-///   are strict LIFO over live entries);
+/// * identical take results at every step (single-threaded, both are
+///   strict LIFO over live entries);
 /// * identical *cumulative* expiry-victim sets after every full sweep
-///   (the implementations lazily doom expired entries at different
-///   moments — `WarmPool` eagerly on take, the others on encounter — so
-///   only the post-sweep union is deterministic);
+///   (a take dooms only the expired entries it encounters, so only the
+///   post-sweep union is deterministic);
 /// * identical hit/miss statistics and empty pools at the end.
 ///
-/// Removals are restricted to currently-live entries: removing an
-/// already-expired entry would legitimately diverge, because `WarmPool`
-/// may have doomed it on an earlier take while the lazy pools still
-/// hold it.
+/// Removals target currently-live entries only, so a `remove` that
+/// fails on either side is always a divergence — never an expired entry
+/// that an earlier take had already doomed.
 pub fn run_pool_trajectory(seed: u64, case: u64, steps: usize) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(case_seed(seed, case) ^ 0x9001);
     let ttl = SimDuration::from_nanos(5_000);
     let ka = KeepAlive::Ttl(ttl);
     let mut spec = SpecPool::new(ka);
-    let mut warm = WarmPool::new(ka);
     let sharded = ShardedWarmPool::new(ka);
 
     let mut now = SimTime::ZERO;
@@ -249,35 +246,29 @@ pub fn run_pool_trajectory(seed: u64, case: u64, steps: usize) -> Result<(), Str
     let mut taken: BTreeSet<u64> = BTreeSet::new();
     let mut removed: BTreeSet<u64> = BTreeSet::new();
     let mut victims_spec: BTreeSet<u64> = BTreeSet::new();
-    let mut victims_warm: BTreeSet<u64> = BTreeSet::new();
     let mut victims_sharded: BTreeSet<u64> = BTreeSet::new();
 
     let sweep = |spec: &mut SpecPool,
-                 warm: &mut WarmPool,
                  vs: &mut BTreeSet<u64>,
-                 vw: &mut BTreeSet<u64>,
                  vsh: &mut BTreeSet<u64>,
                  now: SimTime,
                  step: usize|
      -> Result<(), String> {
         vs.extend(spec.evict_expired(now).iter().map(|i| i.as_u64()));
         vs.extend(spec.drain_doomed().iter().map(|i| i.as_u64()));
-        vw.extend(warm.evict_expired(now).iter().map(|i| i.as_u64()));
-        vw.extend(warm.drain_doomed().iter().map(|i| i.as_u64()));
         vsh.extend(sharded.evict_expired(now).iter().map(|i| i.as_u64()));
         vsh.extend(sharded.drain_doomed().iter().map(|i| i.as_u64()));
-        if vs != vw || vs != vsh {
+        if vs != vsh {
             return Err(format!(
                 "step {step}: cumulative expiry victims diverge after sweep at {}ns:\n  \
-                 spec: {vs:?}\n  warm: {vw:?}\n  sharded: {vsh:?}",
+                 spec: {vs:?}\n  sharded: {vsh:?}",
                 now.as_nanos()
             ));
         }
-        if spec.len() != warm.len() || spec.len() != sharded.len() {
+        if spec.len() != sharded.len() {
             return Err(format!(
-                "step {step}: post-sweep sizes diverge: spec={} warm={} sharded={}",
+                "step {step}: post-sweep sizes diverge: spec={} sharded={}",
                 spec.len(),
-                warm.len(),
                 sharded.len()
             ));
         }
@@ -292,16 +283,14 @@ pub fn run_pool_trajectory(seed: u64, case: u64, steps: usize) -> Result<(), Str
                 next_id += 1;
                 all_ids.push(id);
                 spec.put(id, now);
-                warm.put(id, now);
                 sharded.put(id, now);
             }
             4..=7 => {
                 let a = spec.take(now);
-                let b = warm.take(now);
-                let c = sharded.take(now);
-                if a != b || a != c {
+                let b = sharded.take(now);
+                if a != b {
                     return Err(format!(
-                        "step {step}: take results diverge at {}ns: spec={a:?} warm={b:?} sharded={c:?}",
+                        "step {step}: take results diverge at {}ns: spec={a:?} sharded={b:?}",
                         now.as_nanos()
                     ));
                 }
@@ -311,9 +300,7 @@ pub fn run_pool_trajectory(seed: u64, case: u64, steps: usize) -> Result<(), Str
             }
             8 => sweep(
                 &mut spec,
-                &mut warm,
                 &mut victims_spec,
-                &mut victims_warm,
                 &mut victims_sharded,
                 now,
                 step,
@@ -327,12 +314,11 @@ pub fn run_pool_trajectory(seed: u64, case: u64, steps: usize) -> Result<(), Str
                     .collect();
                 if let Some(&id) = live.get(rng.gen_range(0..live.len().max(1))) {
                     let a = spec.remove(id);
-                    let b = warm.remove(id);
-                    let c = sharded.remove(id);
-                    if !(a && b && c) {
+                    let b = sharded.remove(id);
+                    if !(a && b) {
                         return Err(format!(
                             "step {step}: live entry {} not removable everywhere: \
-                             spec={a} warm={b} sharded={c}",
+                             spec={a} sharded={b}",
                             id.as_u64()
                         ));
                     }
@@ -347,18 +333,15 @@ pub fn run_pool_trajectory(seed: u64, case: u64, steps: usize) -> Result<(), Str
     let end = now + SimDuration::from_secs(3600);
     sweep(
         &mut spec,
-        &mut warm,
         &mut victims_spec,
-        &mut victims_warm,
         &mut victims_sharded,
         end,
         steps,
     )?;
-    if !spec.is_empty() || !warm.is_empty() || !sharded.is_empty() {
+    if !spec.is_empty() || !sharded.is_empty() {
         return Err(format!(
-            "pools not empty after final sweep: spec={} warm={} sharded={}",
+            "pools not empty after final sweep: spec={} sharded={}",
             spec.len(),
-            warm.len(),
             sharded.len()
         ));
     }
@@ -376,12 +359,11 @@ pub fn run_pool_trajectory(seed: u64, case: u64, steps: usize) -> Result<(), Str
             accounted.len()
         ));
     }
-    let (ss, ws, hs) = (spec.stats(), warm.stats(), sharded.stats());
-    if (ss.hits, ss.misses) != (ws.hits, ws.misses) || (ss.hits, ss.misses) != (hs.hits, hs.misses)
-    {
+    let (ss, hs) = (spec.stats(), sharded.stats());
+    if (ss.hits, ss.misses) != (hs.hits, hs.misses) {
         return Err(format!(
-            "hit/miss statistics diverge: spec=({}, {}) warm=({}, {}) sharded=({}, {})",
-            ss.hits, ss.misses, ws.hits, ws.misses, hs.hits, hs.misses
+            "hit/miss statistics diverge: spec=({}, {}) sharded=({}, {})",
+            ss.hits, ss.misses, hs.hits, hs.misses
         ));
     }
     Ok(())

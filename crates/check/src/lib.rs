@@ -54,11 +54,12 @@ pub mod resident_explore;
 pub mod ring_explore;
 pub mod spec;
 pub mod splice_explore;
+pub mod stepped;
 
 pub use differential::{
     coalesce_oracle_case, merge_oracle_case, run_pool_trajectory, vmm_differential_case,
 };
-pub use explore::{explore, Exploration, ExploreConfig, SchedulePolicy};
+pub use explore::{explore, ExploreConfig};
 pub use history::{Event, History, PoolOp, PoolResult, TickSource};
 pub use linearize::{
     check_linearizable, check_linearizable_bounded, Linearization, LinearizeError,
@@ -67,10 +68,10 @@ pub use mutate::Mutation;
 pub use reliability_oracle::{
     check_ledgers, run_reliability_scenario, DispositionTally, OracleReport, ReliabilityScenario,
 };
-pub use resident_explore::{explore_resident, ResidentExploration, ResidentExploreConfig};
-pub use ring_explore::{explore_ring, RingExploration, RingExploreConfig};
+pub use resident_explore::{explore_resident, ResidentExploreConfig};
+pub use ring_explore::{explore_ring, RingExploreConfig};
 pub use spec::{spec_expired, SpecLoad, SpecPool, SpecRunQueue};
 pub use splice_explore::{
-    explore_handoff, explore_splice, HandoffExploration, HandoffExploreConfig, SpliceExploration,
-    SpliceExploreConfig, SpliceStepRecord,
+    explore_handoff, explore_splice, HandoffExploreConfig, SpliceExploreConfig, SpliceStepRecord,
 };
+pub use stepped::{Exploration, SchedulePolicy};

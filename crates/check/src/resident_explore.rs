@@ -9,7 +9,8 @@
 //! exactly there, so this module steps them the way [`crate::explore`]
 //! steps the warm pool: each driver is a script of `Vmm` operations, one
 //! operation per granted step (a step is one `Mutex<Vmm>` critical
-//! section), and the seeded [`SchedulePolicy`] decides who goes next.
+//! section — so the drivers need no threads of their own), and the seeded
+//! [`SchedulePolicy`] decides who goes next.
 //!
 //! Checked after every step: [`Vmm::check_plans`] (every registered plan
 //! matches its queue minus the resident), and no resume ever degrades.
@@ -22,7 +23,7 @@
 //! `start` of the run sees nothing but resumes before it — a resident is
 //! marked, and the mutation must be caught.
 
-use crate::explore::{SchedulePolicy, Scheduler};
+use crate::stepped::{self, Exploration, SchedulePolicy};
 use horse_sched::{CpuTopology, GovernorPolicy, RqId, SandboxId, SchedConfig, SchedFlavor};
 use horse_vmm::{CostModel, PausePolicy, ResumeMode, SandboxConfig, Vmm};
 use rand::rngs::StdRng;
@@ -52,15 +53,6 @@ impl Default for ResidentExploreConfig {
             plant_skip_settle: false,
         }
     }
-}
-
-/// Outcome of one exploration.
-#[derive(Debug)]
-pub struct ResidentExploration {
-    /// Driver granted each step.
-    pub decisions: Vec<usize>,
-    /// Error description if a check rejected the run.
-    pub violation: Option<String>,
 }
 
 /// One scripted driver operation.
@@ -117,12 +109,13 @@ fn generate_scripts(cfg: &ResidentExploreConfig, seed: u64) -> Vec<Vec<Op>> {
         .collect()
 }
 
-/// Runs one seeded exploration of drivers sharing a `Vmm`.
+/// Runs one seeded exploration of drivers sharing a `Vmm`. `decisions`
+/// names the driver granted each step.
 pub fn explore_resident(
     cfg: &ResidentExploreConfig,
     policy: SchedulePolicy,
     seed: u64,
-) -> ResidentExploration {
+) -> Exploration<()> {
     let mut vmm = Vmm::new(
         SchedConfig {
             topology: CpuTopology::new(1, 8, false),
@@ -152,18 +145,9 @@ pub fn explore_resident(
     let own = fleet.split_off(cfg.paused_peers);
     let mut paused = fleet;
 
-    let total_steps: usize = scripts.iter().map(Vec::len).sum();
-    let mut sched = Scheduler::new(policy, seed, drivers, total_steps);
+    let budgets: Vec<usize> = scripts.iter().map(Vec::len).collect();
     let mut next_op = vec![0usize; drivers];
-    let mut decisions = Vec::with_capacity(total_steps);
-    let mut violation: Option<String> = None;
-
-    for step in 0..total_steps {
-        let runnable: Vec<usize> = (0..drivers)
-            .filter(|&d| next_op[d] < scripts[d].len())
-            .collect();
-        let d = sched.pick(&runnable, step);
-        decisions.push(d);
+    let mut run = stepped::run(policy, seed, &budgets, |d, step| {
         let op = scripts[d][next_op[d]];
         next_op[d] += 1;
         let done = match op {
@@ -186,69 +170,43 @@ pub fn explore_resident(
                 .map(|_| ())
                 .map_err(|e| format!("pause of {}: {e}", own[d])),
         };
-        if let Err(e) = done.and_then(|()| vmm.check_plans()) {
-            violation = Some(format!("step {step} (driver {d}, {op:?}): {e}"));
-            break;
-        }
-    }
+        done.and_then(|()| vmm.check_plans())
+            .map_err(|e| format!("step {step} (driver {d}, {op:?}): {e}"))
+    });
 
     // Black-box end state: whatever is still paused splices in cleanly.
-    if violation.is_none() {
+    if run.violation.is_none() {
         paused.extend(own);
-        violation = paused
+        run.violation = paused
             .into_iter()
             .find_map(|id| resume_cleanly(&mut vmm, id).err())
             .map(|e| format!("end of run: {e}"));
     }
-    if violation.is_none() {
+    if run.violation.is_none() {
         let s = vmm.sched();
         if let Err(e) = s.queue_list(rq).check_invariants(s.arena()) {
-            violation = Some(format!("{rq} invariants violated: {e}"));
+            run.violation = Some(format!("{rq} invariants violated: {e}"));
         }
     }
-
-    ResidentExploration {
-        decisions,
-        violation,
-    }
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepped::testing::{assert_caught, assert_clean};
 
-    const POLICIES: [SchedulePolicy; 3] = [
-        SchedulePolicy::RoundRobin,
-        SchedulePolicy::Random,
-        SchedulePolicy::Pct { depth: 3 },
-    ];
+    /// The seeds CI's three matrix entries derive.
     const SEEDS: [u64; 9] = [1, 2, 3, 42, 43, 44, 1337, 1338, 1339];
 
     #[test]
-    fn all_policies_pass_on_the_real_vmm() {
+    fn all_policies_pass_on_the_real_vmm_and_replay() {
         let cfg = ResidentExploreConfig::default();
-        for policy in POLICIES {
-            for seed in SEEDS {
-                let r = explore_resident(&cfg, policy, seed);
-                assert!(
-                    r.violation.is_none(),
-                    "policy {policy} seed {seed}: {:?}\ndecisions: {:?}",
-                    r.violation,
-                    r.decisions
-                );
-                assert_eq!(r.decisions.len(), cfg.drivers * cfg.cycles * 3);
-            }
-        }
-    }
-
-    #[test]
-    fn same_seed_replays_the_same_interleaving() {
-        let cfg = ResidentExploreConfig::default();
-        for policy in POLICIES {
-            let a = explore_resident(&cfg, policy, 7);
-            let b = explore_resident(&cfg, policy, 7);
-            assert_eq!(a.decisions, b.decisions, "policy {policy} must replay");
-        }
+        assert_clean(
+            &SEEDS,
+            |policy, seed| explore_resident(&cfg, policy, seed),
+            |r| assert_eq!(r.decisions.len(), cfg.drivers * cfg.cycles * 3),
+        );
     }
 
     #[test]
@@ -257,15 +215,9 @@ mod tests {
             plant_skip_settle: true,
             ..ResidentExploreConfig::default()
         };
-        for policy in POLICIES {
-            for seed in SEEDS {
-                let r = explore_resident(&cfg, policy, seed);
-                assert!(
-                    r.violation.is_some(),
-                    "policy {policy} seed {seed}: a start that skips settle went unnoticed"
-                );
-            }
-        }
+        assert_caught(&SEEDS, "", |policy, seed| {
+            explore_resident(&cfg, policy, seed)
+        });
     }
 
     #[test]

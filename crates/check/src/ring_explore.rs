@@ -1,11 +1,11 @@
 //! Seeded deterministic interleaving exploration of the
 //! [`SubmissionRing`] — the MPSC ring feeding the batched invoke path.
 //!
-//! Same machinery as [`crate::explore`]: each producer (and the single
-//! consumer) is a real OS thread that only runs when the explorer
-//! grants it a step, and which worker steps next is decided by a seeded
-//! [`SchedulePolicy`]. Operations execute atomically — one `push` or
-//! `pop` completes before the next is granted — so the observed order
+//! Same [`stepped`](crate::stepped) driver as [`crate::explore`]: each
+//! producer (and the single consumer) is a real OS thread that only runs
+//! when it is granted a step, and which worker steps next is decided by a
+//! seeded [`SchedulePolicy`]. Operations execute atomically — one `push`
+//! or `pop` completes before the next is granted — so the observed order
 //! *is* a linearization, and the oracle can replay it against a plain
 //! FIFO queue:
 //!
@@ -24,14 +24,12 @@
 //! distinguishable. Violations report the seed, policy and decision
 //! sequence needed to replay the interleaving exactly.
 
-use crate::explore::{SchedulePolicy, Scheduler};
+use crate::stepped::{self, Exploration, SchedulePolicy, Worker};
 use horse_faas::{FunctionRegistry, Request, StartStrategy, SubmissionRing};
 use horse_reliability::RequestClass;
 use horse_vmm::SandboxConfig;
 use horse_workloads::Category;
 use std::collections::VecDeque;
-use std::sync::mpsc;
-use std::sync::Arc;
 
 /// Exploration parameters.
 #[derive(Debug, Clone, Copy)]
@@ -80,17 +78,6 @@ pub struct RingStepRecord {
     pub effect: RingStepEffect,
 }
 
-/// Outcome of one ring exploration.
-#[derive(Debug)]
-pub struct RingExploration {
-    /// Worker index granted each step; replays from the seed.
-    pub decisions: Vec<usize>,
-    /// Every executed step, in execution order.
-    pub steps: Vec<RingStepRecord>,
-    /// Error description if the oracle rejected the run.
-    pub violation: Option<String>,
-}
-
 /// Tag layout: `producer * TAG_STRIDE + index`, stored in the request
 /// deadline so it round-trips through the ring's encoded slot words.
 const TAG_STRIDE: u64 = 1_000_000;
@@ -104,104 +91,57 @@ fn tagged_request(f: horse_faas::FunctionId, producer: usize, index: usize) -> R
     }
 }
 
-enum Cmd {
-    Step,
-    Stop,
-}
-
 /// Runs one seeded exploration of a [`SubmissionRing`] with
 /// `cfg.producers` producers and one consumer, validating the observed
 /// linearization against a FIFO queue. `violation` is `None` on
 /// success.
-pub fn explore_ring(cfg: &RingExploreConfig, policy: SchedulePolicy, seed: u64) -> RingExploration {
+pub fn explore_ring(
+    cfg: &RingExploreConfig,
+    policy: SchedulePolicy,
+    seed: u64,
+) -> Exploration<RingStepRecord> {
     let capacity = cfg.capacity.next_power_of_two().max(2);
-    let ring = Arc::new(SubmissionRing::with_capacity(capacity));
+    let ring = SubmissionRing::with_capacity(capacity);
     let mut registry = FunctionRegistry::new();
     let f = registry.register("filter", Category::Cat3, SandboxConfig::default());
 
+    // A producer is runnable while it has push attempts left; the
+    // consumer (last index) while it has pop steps left.
     let total_pushes = cfg.producers * cfg.pushes_per_producer;
-    let consumer_steps = total_pushes + cfg.pop_slack;
-    let total_steps = total_pushes + consumer_steps;
-    let workers = cfg.producers + 1; // last index is the consumer
-    let mut sched = Scheduler::new(policy, seed, workers, total_steps);
+    let mut budgets = vec![cfg.pushes_per_producer; cfg.producers];
+    budgets.push(total_pushes + cfg.pop_slack);
 
-    // Spawn producers and the consumer, each behind a command channel.
-    let mut cmd_txs = Vec::with_capacity(workers);
-    let mut reply_rxs = Vec::with_capacity(workers);
-    let mut handles = Vec::with_capacity(workers);
-    for widx in 0..workers {
-        let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-        let (reply_tx, reply_rx) = mpsc::channel::<RingStepEffect>();
-        let ring = Arc::clone(&ring);
-        let is_consumer = widx == cfg.producers;
-        handles.push(std::thread::spawn(move || {
+    let workers = (0..budgets.len())
+        .map(|thread| {
+            let ring = &ring;
+            let is_consumer = thread == cfg.producers;
             // A rejected push keeps its request; the next granted step
             // retries it, so producer scripts are *attempts*.
             let mut next_index = 0usize;
             let mut retry: Option<Request> = None;
-            while let Ok(cmd) = cmd_rx.recv() {
-                match cmd {
-                    Cmd::Stop => return,
-                    Cmd::Step => {
-                        let effect = if is_consumer {
-                            RingStepEffect::Popped(
-                                ring.pop().map(|r| r.deadline_ns.expect("tagged")),
-                            )
-                        } else {
-                            let req = retry.take().unwrap_or_else(|| {
-                                let r = tagged_request(f, widx, next_index);
-                                next_index += 1;
-                                r
-                            });
-                            let tag = req.deadline_ns.expect("tagged");
-                            match ring.push(req) {
-                                Ok(_) => RingStepEffect::Pushed(tag),
-                                Err(horse_faas::RingFull(back)) => {
-                                    retry = Some(back);
-                                    RingStepEffect::Full(tag)
-                                }
-                            }
-                        };
-                        let _ = reply_tx.send(effect);
+            Box::new(move |()| {
+                let effect = if is_consumer {
+                    RingStepEffect::Popped(ring.pop().map(|r| r.deadline_ns.expect("tagged")))
+                } else {
+                    let req = retry.take().unwrap_or_else(|| {
+                        let r = tagged_request(f, thread, next_index);
+                        next_index += 1;
+                        r
+                    });
+                    let tag = req.deadline_ns.expect("tagged");
+                    match ring.push(req) {
+                        Ok(_) => RingStepEffect::Pushed(tag),
+                        Err(horse_faas::RingFull(back)) => {
+                            retry = Some(back);
+                            RingStepEffect::Full(tag)
+                        }
                     }
-                }
-            }
-        }));
-        cmd_txs.push(cmd_tx);
-        reply_rxs.push(reply_rx);
-    }
-
-    // Grant steps per the schedule. A producer is runnable while it has
-    // push attempts left; the consumer while it has pop steps left.
-    let mut remaining: Vec<usize> = (0..workers)
-        .map(|w| {
-            if w == cfg.producers {
-                consumer_steps
-            } else {
-                cfg.pushes_per_producer
-            }
+                };
+                RingStepRecord { thread, effect }
+            }) as Worker<'_, (), RingStepRecord>
         })
         .collect();
-    let mut decisions = Vec::with_capacity(total_steps);
-    let mut steps = Vec::with_capacity(total_steps);
-    for step in 0..total_steps {
-        let runnable: Vec<usize> = (0..workers).filter(|&w| remaining[w] > 0).collect();
-        let chosen = sched.pick(&runnable, step);
-        remaining[chosen] -= 1;
-        decisions.push(chosen);
-        cmd_txs[chosen].send(Cmd::Step).expect("worker alive");
-        let effect = reply_rxs[chosen].recv().expect("worker replied");
-        steps.push(RingStepRecord {
-            thread: chosen,
-            effect,
-        });
-    }
-    for tx in &cmd_txs {
-        tx.send(Cmd::Stop).expect("worker alive");
-    }
-    for h in handles {
-        h.join().expect("worker thread panicked");
-    }
+    let mut run = stepped::run_threaded(policy, seed, &budgets, workers, |_| ());
 
     // Final drain: whatever the consumer's slack didn't reach.
     let mut leftover = Vec::new();
@@ -211,12 +151,10 @@ pub fn explore_ring(cfg: &RingExploreConfig, policy: SchedulePolicy, seed: u64) 
         .map(|r| r.deadline_ns.expect("tagged"))
         .collect();
 
-    let violation = validate(cfg, capacity, &steps, &drained);
-    RingExploration {
-        decisions,
-        steps,
-        violation,
-    }
+    run.violation = run
+        .violation
+        .or_else(|| validate(cfg, capacity, &run.steps, &drained));
+    run
 }
 
 /// Replays the linearization against a plain FIFO queue and checks
@@ -327,34 +265,17 @@ fn validate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepped::testing::assert_clean;
     use proptest::prelude::*;
 
     #[test]
-    fn all_policies_pass_on_the_real_ring() {
+    fn all_policies_pass_on_the_real_ring_and_replay() {
         let cfg = RingExploreConfig::default();
-        for policy in [
-            SchedulePolicy::RoundRobin,
-            SchedulePolicy::Random,
-            SchedulePolicy::Pct { depth: 3 },
-        ] {
-            for seed in [1u64, 42, 1337] {
-                let r = explore_ring(&cfg, policy, seed);
-                assert!(
-                    r.violation.is_none(),
-                    "policy {policy} seed {seed}: {:?}\ndecisions: {:?}",
-                    r.violation,
-                    r.decisions
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn same_seed_same_decisions() {
-        let cfg = RingExploreConfig::default();
-        let a = explore_ring(&cfg, SchedulePolicy::Random, 7);
-        let b = explore_ring(&cfg, SchedulePolicy::Random, 7);
-        assert_eq!(a.decisions, b.decisions, "ring exploration must replay");
+        assert_clean(
+            &[1, 42, 1337],
+            |policy, seed| explore_ring(&cfg, policy, seed),
+            |_| {},
+        );
     }
 
     #[test]

@@ -21,11 +21,10 @@ use horse_sched::SandboxId;
 use horse_sim::SimTime;
 
 /// Whether an entry parked at `since` has outlived `keep_alive` by
-/// `now`. This is the *reference* boundary semantics shared by
-/// `WarmPool` and `ShardedWarmPool` (encoded by
-/// `tests/expiry_boundary.rs`): an entry expires **strictly after** its
-/// TTL elapses — at `since + ttl` exactly it is still warm — and
-/// entries stamped in the future count as age zero.
+/// `now`. This is the *reference* boundary semantics `ShardedWarmPool`
+/// shares (pinned by `tests/expiry_boundary.rs`): an entry expires
+/// **strictly after** its TTL elapses — at `since + ttl` exactly it is
+/// still warm — and entries stamped in the future count as age zero.
 pub fn spec_expired(keep_alive: KeepAlive, since: SimTime, now: SimTime) -> bool {
     match keep_alive {
         KeepAlive::Provisioned => false,
@@ -35,8 +34,8 @@ pub fn spec_expired(keep_alive: KeepAlive, since: SimTime, now: SimTime) -> bool
 
 /// Sequential reference model of a warm-sandbox pool.
 ///
-/// Semantics (the contract `WarmPool` implements exactly and
-/// `ShardedWarmPool` implements up to a documented LIFO relaxation):
+/// Semantics (the contract `ShardedWarmPool` implements up to a
+/// documented LIFO relaxation):
 ///
 /// * `put` stores `(id, since)`; the keep-alive clock restarts on every
 ///   put;

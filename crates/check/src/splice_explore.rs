@@ -30,11 +30,10 @@
 //! the real splice blocks so a protocol bug also shows as a wrong queue.
 //! Its planted bug is [`Mutation::SpliceHandoffEarlyJoin`](crate::Mutation).
 
-use crate::explore::{SchedulePolicy, Scheduler};
+use crate::stepped::{self, Exploration, SchedulePolicy, Scheduler, Worker};
 use horse_core::{Arena, MergePlan, SortedList};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::mpsc;
 
 /// Payload bases marking provenance in the order oracle.
 const B_BASE: u64 = 1_000_000;
@@ -76,29 +75,6 @@ pub struct SpliceStepRecord {
     pub splice: usize,
     /// vCPUs in the spliced sub-list.
     pub sub_len: usize,
-}
-
-/// Outcome of one splice exploration.
-#[derive(Debug)]
-pub struct SpliceExploration {
-    /// Worker index granted each step, in order — replaying with the
-    /// same seed/policy/config reproduces the identical interleaving.
-    pub decisions: Vec<usize>,
-    /// Every executed step, in execution order.
-    pub steps: Vec<SpliceStepRecord>,
-    /// Error description if the oracle rejected the run.
-    pub violation: Option<String>,
-}
-
-enum Cmd {
-    /// Execute the worker's next splice.
-    Step,
-    Stop,
-}
-
-struct WorkerReply {
-    splice: usize,
-    sub_len: usize,
 }
 
 /// Generates the seeded scenario: strictly spaced *B* credits, random
@@ -143,14 +119,14 @@ fn sequential_oracle(b_keys: &[i64], a_keys: &[i64]) -> Vec<(i64, u64)> {
 
 /// Runs one seeded exploration of the parallel splice workers and
 /// validates the merged queue against the sequential oracle. The
-/// returned [`SpliceExploration`] carries the full decision sequence;
+/// returned [`Exploration`] carries the full decision sequence;
 /// `violation` is `None` on success (and **must** be `Some` when
 /// `plant_misorder` is set — the caller asserts the inversion).
 pub fn explore_splice(
     cfg: &SpliceExploreConfig,
     policy: SchedulePolicy,
     seed: u64,
-) -> SpliceExploration {
+) -> Exploration<SpliceStepRecord> {
     let (b_keys, a_keys) = generate_case(cfg, seed);
 
     let expected = sequential_oracle(&b_keys, &a_keys);
@@ -162,28 +138,26 @@ pub fn explore_splice(
     let plan = MergePlan::precompute(&arena, &b, a);
 
     let workers = cfg.workers.max(1);
-    let mut decisions = Vec::new();
-    let mut steps = Vec::new();
-    let mut stage_violation: Option<String> = None;
-    {
+    let (mut run, stage_violation) = {
         let staged = match plan.stage(&b) {
             Ok(s) => s,
             Err(e) => {
-                return SpliceExploration {
-                    decisions,
-                    steps,
+                return Exploration {
+                    decisions: Vec::new(),
+                    steps: Vec::new(),
                     violation: Some(format!("stage rejected a fresh plan: {e}")),
                 }
             }
         };
         let blocks: Vec<_> = (0..workers).map(|w| staged.block(w, workers)).collect();
-        let total_steps: usize = blocks.iter().map(|blk| blk.len()).sum();
-        if total_steps != staged.node_splice_count() {
-            stage_violation = Some(format!(
+        let budgets: Vec<usize> = blocks.iter().map(|blk| blk.len()).collect();
+        let total_steps: usize = budgets.iter().sum();
+        let stage_violation = (total_steps != staged.node_splice_count()).then(|| {
+            format!(
                 "blocks cover {total_steps} splices, staged has {}",
                 staged.node_splice_count()
-            ));
-        }
+            )
+        });
 
         // The planted bug's seeded target: one worker mis-executes its
         // first length-≥ 2 splice. The generator guarantees one exists.
@@ -204,65 +178,39 @@ pub fn explore_splice(
             None
         };
 
-        let mut sched = Scheduler::new(policy, seed, workers, total_steps);
+        // One splice per granted step, each worker on its own block.
         let arena_ref = &arena;
-        std::thread::scope(|scope| {
-            let mut cmd_txs = Vec::with_capacity(workers);
-            let mut reply_rxs = Vec::with_capacity(workers);
-            for (w, block) in blocks.iter().copied().enumerate() {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-                let (reply_tx, reply_rx) = mpsc::channel::<WorkerReply>();
-                let bad_splice = misorder_at.and_then(|(mw, i)| (mw == w).then_some(i));
-                scope.spawn(move || {
-                    let mut next = 0usize;
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Stop => return,
-                            Cmd::Step => {
-                                let i = next;
-                                next += 1;
-                                if bad_splice == Some(i) {
-                                    block.execute_one_misordered(arena_ref, i);
-                                } else {
-                                    block.execute_one(arena_ref, i);
-                                }
-                                let _ = reply_tx.send(WorkerReply {
-                                    splice: i,
-                                    sub_len: block.sub_len(i),
-                                });
-                            }
-                        }
+        let stepped_workers = blocks
+            .iter()
+            .copied()
+            .enumerate()
+            .map(|(worker, block)| {
+                let bad_splice = misorder_at.and_then(|(mw, i)| (mw == worker).then_some(i));
+                let mut next = 0usize;
+                Box::new(move |()| {
+                    let splice = next;
+                    next += 1;
+                    if bad_splice == Some(splice) {
+                        block.execute_one_misordered(arena_ref, splice);
+                    } else {
+                        block.execute_one(arena_ref, splice);
                     }
-                });
-                cmd_txs.push(cmd_tx);
-                reply_rxs.push(reply_rx);
-            }
-
-            // Grant one splice at a time per the seeded schedule.
-            let mut remaining: Vec<usize> = blocks.iter().map(|blk| blk.len()).collect();
-            for step in 0..total_steps {
-                let runnable: Vec<usize> = (0..workers).filter(|&w| remaining[w] > 0).collect();
-                let chosen = sched.pick(&runnable, step);
-                remaining[chosen] -= 1;
-                decisions.push(chosen);
-                cmd_txs[chosen].send(Cmd::Step).expect("worker alive");
-                let reply = reply_rxs[chosen].recv().expect("worker replied");
-                steps.push(SpliceStepRecord {
-                    worker: chosen,
-                    splice: reply.splice,
-                    sub_len: reply.sub_len,
-                });
-            }
-            for tx in &cmd_txs {
-                tx.send(Cmd::Stop).expect("worker alive");
-            }
-        });
-    }
+                    SpliceStepRecord {
+                        worker,
+                        splice,
+                        sub_len: block.sub_len(splice),
+                    }
+                }) as Worker<'_, (), SpliceStepRecord>
+            })
+            .collect();
+        let run = stepped::run_threaded(policy, seed, &budgets, stepped_workers, |_| ());
+        (run, stage_violation)
+    };
 
     // Head splice + bookkeeping on the driving thread, like the VMM.
     let (report, _buffers) = plan.finish_staged(&arena, &mut b);
 
-    let violation = stage_violation.or_else(|| {
+    run.violation = run.violation.or(stage_violation).or_else(|| {
         if report.merged != a_keys.len() {
             return Some(format!(
                 "report.merged = {}, expected {}",
@@ -282,12 +230,7 @@ pub fn explore_splice(
         }
         None
     });
-
-    SpliceExploration {
-        decisions,
-        steps,
-        violation,
-    }
+    run
 }
 
 /// Parameters of one hand-off exploration.
@@ -319,17 +262,6 @@ impl Default for HandoffExploreConfig {
             plant_early_join: false,
         }
     }
-}
-
-/// Outcome of one hand-off exploration.
-#[derive(Debug)]
-pub struct HandoffExploration {
-    /// Thread granted each step (0 = dispatcher, `1 + w` = worker `w`).
-    pub decisions: Vec<usize>,
-    /// Blocks executed, all workers and merges together.
-    pub executed_blocks: usize,
-    /// Error description if a check rejected the run.
-    pub violation: Option<String>,
 }
 
 /// Generation value that tells a worker to exit.
@@ -419,11 +351,17 @@ impl HandoffCase {
 /// * **no lost wake-up** — some thread can always run until all are done;
 /// * **exactly once** — every worker executes every published merge once,
 ///   and never finds its job slot empty.
+///
+/// A thread here is runnable by protocol state (its token), not by a step
+/// budget, so this loop keeps its own runnable rule and shares only the
+/// [`Scheduler`](crate::stepped). `decisions` names the thread granted
+/// each step (0 = dispatcher, `1 + w` = worker `w`); `steps` holds one
+/// `(worker, merge)` per block executed.
 pub fn explore_handoff(
     cfg: &HandoffExploreConfig,
     policy: SchedulePolicy,
     seed: u64,
-) -> HandoffExploration {
+) -> Exploration<(usize, u64)> {
     let workers = cfg.workers.max(1);
     let merges = cfg.merges.max(1);
     let joinable = |remaining: usize| {
@@ -452,6 +390,7 @@ pub fn explore_handoff(
     let expected_steps = merges * (8 * workers + 6) + 2 * workers;
     let mut sched = Scheduler::new(policy, seed, workers + 1, expected_steps);
     let mut decisions = Vec::new();
+    let mut steps = Vec::new();
     let mut violation: Option<String> = None;
 
     while violation.is_none() {
@@ -597,6 +536,7 @@ pub fn explore_handoff(
                             let staged = plan.stage(&case.b).expect("B is untouched until join");
                             staged.block(w, workers).execute(&case.arena);
                             executed[w].push(served[w]);
+                            steps.push((w, served[w]));
                         }
                     }
                     WorkerAt::CountDown
@@ -640,9 +580,9 @@ pub fn explore_handoff(
         }
     }
 
-    HandoffExploration {
+    Exploration {
         decisions,
-        executed_blocks: executed.iter().map(Vec::len).sum(),
+        steps,
         violation,
     }
 }
@@ -650,41 +590,32 @@ pub fn explore_handoff(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const POLICIES: [SchedulePolicy; 3] = [
-        SchedulePolicy::RoundRobin,
-        SchedulePolicy::Random,
-        SchedulePolicy::Pct { depth: 3 },
-    ];
+    use crate::stepped::testing::{assert_caught, assert_clean, POLICIES};
 
     #[test]
-    fn all_policies_pass_on_the_real_splice() {
+    fn all_policies_pass_on_the_real_splice_and_replay() {
         let cfg = SpliceExploreConfig::default();
-        for policy in POLICIES {
-            for seed in [1u64, 42, 1337] {
-                let r = explore_splice(&cfg, policy, seed);
-                assert!(
-                    r.violation.is_none(),
-                    "policy {policy} seed {seed}: {:?}\ndecisions: {:?}",
-                    r.violation,
-                    r.decisions
-                );
+        assert_clean(
+            &[1, 42, 1337],
+            |policy, seed| explore_splice(&cfg, policy, seed),
+            |r| {
                 assert_eq!(r.decisions.len(), r.steps.len());
                 // The guaranteed duplicate pair produces ≥ 1 stepped
                 // splice with a multi-node sub-list.
                 assert!(r.steps.iter().any(|s| s.sub_len >= 2));
-            }
-        }
+            },
+        );
     }
 
     #[test]
-    fn same_seed_replays_the_same_interleaving() {
+    fn same_seed_replays_the_same_splices() {
         let cfg = SpliceExploreConfig::default();
         for policy in POLICIES {
-            let a = explore_splice(&cfg, policy, 7);
-            let b = explore_splice(&cfg, policy, 7);
-            assert_eq!(a.decisions, b.decisions, "policy {policy} must replay");
-            assert_eq!(a.steps, b.steps);
+            let (a, b) = (
+                explore_splice(&cfg, policy, 7),
+                explore_splice(&cfg, policy, 7),
+            );
+            assert_eq!(a.steps, b.steps, "policy {policy} must replay");
         }
     }
 
@@ -694,15 +625,9 @@ mod tests {
             plant_misorder: true,
             ..SpliceExploreConfig::default()
         };
-        for policy in POLICIES {
-            for seed in [1u64, 42, 1337] {
-                let r = explore_splice(&cfg, policy, seed);
-                assert!(
-                    r.violation.is_some(),
-                    "policy {policy} seed {seed}: planted misorder escaped the oracle"
-                );
-            }
-        }
+        assert_caught(&[1, 42, 1337], "", |policy, seed| {
+            explore_splice(&cfg, policy, seed)
+        });
     }
 
     #[test]
@@ -712,20 +637,11 @@ mod tests {
                 workers,
                 ..HandoffExploreConfig::default()
             };
-            for policy in POLICIES {
-                for seed in [1u64, 42, 1337] {
-                    let r = explore_handoff(&cfg, policy, seed);
-                    assert!(
-                        r.violation.is_none(),
-                        "workers {workers} policy {policy} seed {seed}: {:?}\ndecisions: {:?}",
-                        r.violation,
-                        r.decisions
-                    );
-                    assert_eq!(r.executed_blocks, workers * cfg.merges);
-                    let again = explore_handoff(&cfg, policy, seed);
-                    assert_eq!(r.decisions, again.decisions, "policy {policy} must replay");
-                }
-            }
+            assert_clean(
+                &[1, 42, 1337],
+                |policy, seed| explore_handoff(&cfg, policy, seed),
+                |r| assert_eq!(r.steps.len(), workers * cfg.merges),
+            );
         }
     }
 
@@ -735,16 +651,11 @@ mod tests {
             plant_early_join: true,
             ..HandoffExploreConfig::default()
         };
-        for policy in POLICIES {
-            // The seeds CI's three matrix entries derive.
-            for seed in [1u64, 2, 3, 42, 43, 44, 1337, 1338, 1339] {
-                let r = explore_handoff(&cfg, policy, seed);
-                let v = r.violation.unwrap_or_else(|| {
-                    panic!("policy {policy} seed {seed}: planted early join escaped")
-                });
-                assert!(v.contains("early join"), "policy {policy} seed {seed}: {v}");
-            }
-        }
+        // The seeds CI's three matrix entries derive.
+        let seeds = [1, 2, 3, 42, 43, 44, 1337, 1338, 1339];
+        assert_caught(&seeds, "early join", |policy, seed| {
+            explore_handoff(&cfg, policy, seed)
+        });
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod ull_scaler;
 pub use cluster::{Cluster, DispatchPolicy, Disposition, HostId, Request};
 pub use invocation::{InvocationRecord, StartStrategy};
 pub use platform::{FaasError, FaasPlatform, PlatformConfig, WARM_TRIGGER_NS};
-pub use pool::{KeepAlive, PoolStats, WarmPool};
+pub use pool::{KeepAlive, PoolStats};
 pub use registry::{FunctionId, FunctionMeta, FunctionRegistry};
 pub use ring::{RingFull, SubmissionRing};
 pub use sharded_pool::{ShardedWarmPool, SHARD_COUNT, SLOTS_PER_SHARD};

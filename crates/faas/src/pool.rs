@@ -1,17 +1,15 @@
-//! Warm-sandbox pools with keep-alive eviction.
+//! The keep-alive policy and usage counters of a warm-sandbox pool.
 //!
 //! "FaaS platforms implement a keep-alive strategy, which consists of
 //! keeping a sandbox active for a fixed time after the function that was
-//! running ends its execution" (paper §1). This module implements that
-//! policy: paused sandboxes wait in a per-function pool and are evicted
-//! (destroyed) once idle longer than the keep-alive TTL — unless they
-//! are *provisioned* (Azure Premium / Lambda Provisioned Concurrency /
-//! Alibaba Provisioned Mode), in which case they never expire.
+//! running ends its execution" (paper §1): paused sandboxes wait in a
+//! per-function pool ([`ShardedWarmPool`](crate::ShardedWarmPool)) and are
+//! evicted (destroyed) once idle longer than the keep-alive TTL — unless
+//! they are *provisioned* (Azure Premium / Lambda Provisioned Concurrency
+//! / Alibaba Provisioned Mode), in which case they never expire.
 
-use horse_sched::SandboxId;
-use horse_sim::{SimDuration, SimTime};
+use horse_sim::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Keep-alive policy of a warm pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,243 +38,4 @@ pub struct PoolStats {
     pub misses: u64,
     /// Sandboxes evicted by keep-alive expiry.
     pub evictions: u64,
-}
-
-/// A FIFO pool of paused warm sandboxes for one function.
-///
-/// # Example
-///
-/// ```
-/// use horse_faas::{KeepAlive, WarmPool};
-/// use horse_sched::SandboxId;
-/// use horse_sim::{SimDuration, SimTime};
-///
-/// let mut pool = WarmPool::new(KeepAlive::Ttl(SimDuration::from_secs(60)));
-/// pool.put(SandboxId::new(1), SimTime::ZERO);
-/// // Still warm after 30 s:
-/// let t30 = SimTime::ZERO + SimDuration::from_secs(30);
-/// assert_eq!(pool.take(t30), Some(SandboxId::new(1)));
-/// pool.put(SandboxId::new(1), t30);
-/// // Expired after 2 more minutes:
-/// let t150 = SimTime::ZERO + SimDuration::from_secs(150);
-/// let expired = pool.evict_expired(t150);
-/// assert_eq!(expired, vec![SandboxId::new(1)]);
-/// assert_eq!(pool.take(t150), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct WarmPool {
-    /// (sandbox, last-used time), oldest first.
-    entries: VecDeque<(SandboxId, SimTime)>,
-    keep_alive: KeepAlive,
-    stats: PoolStats,
-    /// Expired entries lazily evicted by [`WarmPool::take`], awaiting
-    /// destruction by the platform (the pool hands out ids, it does not
-    /// own the sandboxes).
-    doomed: Vec<SandboxId>,
-}
-
-impl WarmPool {
-    /// Creates an empty pool with the given keep-alive policy.
-    pub fn new(keep_alive: KeepAlive) -> Self {
-        Self {
-            entries: VecDeque::new(),
-            keep_alive,
-            stats: PoolStats::default(),
-            doomed: Vec::new(),
-        }
-    }
-
-    /// Number of pooled sandboxes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The active keep-alive policy.
-    pub fn keep_alive(&self) -> KeepAlive {
-        self.keep_alive
-    }
-
-    /// Changes the keep-alive policy (e.g. upgrading a plain keep-alive
-    /// pool to provisioned concurrency). Pooled entries are kept.
-    pub fn set_keep_alive(&mut self, keep_alive: KeepAlive) {
-        self.keep_alive = keep_alive;
-    }
-
-    /// Usage statistics so far.
-    pub fn stats(&self) -> PoolStats {
-        self.stats
-    }
-
-    /// Returns a warm sandbox (most recently used first, maximizing cache
-    /// warmth), or `None` on a miss.
-    ///
-    /// Entries idle past the TTL are lazily evicted first — `take` must
-    /// never hand out a sandbox that keep-alive has already expired, even
-    /// if the platform has not run [`WarmPool::evict_expired`] since the
-    /// deadline passed. Lazily evicted sandboxes are surfaced through
-    /// [`WarmPool::drain_doomed`] for the platform to destroy.
-    pub fn take(&mut self, now: SimTime) -> Option<SandboxId> {
-        // Lazy expiry lands straight in the doomed buffer: no per-take
-        // allocation on the hot path.
-        let mut doomed = std::mem::take(&mut self.doomed);
-        self.evict_expired_into(now, &mut doomed);
-        self.doomed = doomed;
-        match self.entries.pop_back() {
-            Some((id, _)) => {
-                self.stats.hits += 1;
-                Some(id)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Sandboxes lazily evicted by [`WarmPool::take`] since the last
-    /// drain: the caller owns their destruction.
-    pub fn drain_doomed(&mut self) -> Vec<SandboxId> {
-        std::mem::take(&mut self.doomed)
-    }
-
-    /// Removes a specific sandbox from the pool (quarantine path),
-    /// returning whether it was present.
-    pub fn remove(&mut self, id: SandboxId) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(e, _)| *e != id);
-        before != self.entries.len()
-    }
-
-    /// Returns a sandbox to the pool after an invocation (keep-alive
-    /// clock restarts).
-    pub fn put(&mut self, id: SandboxId, now: SimTime) {
-        self.entries.push_back((id, now));
-    }
-
-    /// Removes every sandbox idle past the TTL, returning them for the
-    /// caller to destroy. Provisioned pools never evict.
-    pub fn evict_expired(&mut self, now: SimTime) -> Vec<SandboxId> {
-        let mut evicted = Vec::new();
-        self.evict_expired_into(now, &mut evicted);
-        evicted
-    }
-
-    /// Like [`WarmPool::evict_expired`], but appends the evicted ids to
-    /// a caller-owned buffer instead of allocating a fresh `Vec` — the
-    /// periodic eviction sweep runs this against one reused buffer.
-    pub fn evict_expired_into(&mut self, now: SimTime, buf: &mut Vec<SandboxId>) {
-        let KeepAlive::Ttl(ttl) = self.keep_alive else {
-            return;
-        };
-        while let Some(&(id, since)) = self.entries.front() {
-            if now.since(since.min(now)) > ttl {
-                self.entries.pop_front();
-                buf.push(id);
-                self.stats.evictions += 1;
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn t(secs: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_secs(secs)
-    }
-
-    #[test]
-    fn take_is_lifo_for_cache_warmth() {
-        let mut p = WarmPool::new(KeepAlive::default_ttl());
-        p.put(SandboxId::new(1), t(0));
-        p.put(SandboxId::new(2), t(1));
-        assert_eq!(p.take(t(2)), Some(SandboxId::new(2)));
-        assert_eq!(p.take(t(2)), Some(SandboxId::new(1)));
-        assert_eq!(p.take(t(2)), None);
-        let s = p.stats();
-        assert_eq!((s.hits, s.misses), (2, 1));
-    }
-
-    #[test]
-    fn take_never_hands_out_expired_entries() {
-        // Regression: `take` used to ignore `now`, handing out sandboxes
-        // the keep-alive policy had already expired.
-        let mut p = WarmPool::new(KeepAlive::Ttl(SimDuration::from_secs(100)));
-        p.put(SandboxId::new(1), t(0));
-        p.put(SandboxId::new(2), t(90));
-        assert_eq!(p.take(t(150)), Some(SandboxId::new(2)), "2 is still warm");
-        assert_eq!(p.take(t(150)), None, "1 expired at t=100");
-        let s = p.stats();
-        assert_eq!(s.evictions, 1, "lazy eviction is counted");
-        assert_eq!((s.hits, s.misses), (1, 1));
-        assert_eq!(p.drain_doomed(), vec![SandboxId::new(1)]);
-        assert!(p.drain_doomed().is_empty(), "drain is one-shot");
-    }
-
-    #[test]
-    fn remove_quarantines_a_specific_entry() {
-        let mut p = WarmPool::new(KeepAlive::default_ttl());
-        p.put(SandboxId::new(1), t(0));
-        p.put(SandboxId::new(2), t(0));
-        assert!(p.remove(SandboxId::new(1)));
-        assert!(!p.remove(SandboxId::new(1)), "already gone");
-        assert_eq!(p.take(t(1)), Some(SandboxId::new(2)));
-        assert_eq!(p.take(t(1)), None);
-    }
-
-    #[test]
-    fn ttl_evicts_oldest_first() {
-        let mut p = WarmPool::new(KeepAlive::Ttl(SimDuration::from_secs(100)));
-        p.put(SandboxId::new(1), t(0));
-        p.put(SandboxId::new(2), t(50));
-        assert!(p.evict_expired(t(99)).is_empty());
-        assert_eq!(p.evict_expired(t(101)), vec![SandboxId::new(1)]);
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.evict_expired(t(151)), vec![SandboxId::new(2)]);
-        assert!(p.is_empty());
-        assert_eq!(p.stats().evictions, 2);
-    }
-
-    #[test]
-    fn evict_expired_into_appends_to_a_reused_buffer() {
-        let mut p = WarmPool::new(KeepAlive::Ttl(SimDuration::from_secs(100)));
-        p.put(SandboxId::new(1), t(0));
-        p.put(SandboxId::new(2), t(50));
-        let mut buf = Vec::new();
-        p.evict_expired_into(t(99), &mut buf);
-        assert!(buf.is_empty());
-        p.evict_expired_into(t(101), &mut buf);
-        assert_eq!(buf, vec![SandboxId::new(1)]);
-        p.evict_expired_into(t(151), &mut buf);
-        assert_eq!(buf, vec![SandboxId::new(1), SandboxId::new(2)], "appends");
-        assert!(p.is_empty());
-        assert_eq!(p.stats().evictions, 2);
-    }
-
-    #[test]
-    fn provisioned_pools_never_expire() {
-        let mut p = WarmPool::new(KeepAlive::Provisioned);
-        p.put(SandboxId::new(7), t(0));
-        assert!(p.evict_expired(t(1_000_000)).is_empty());
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.keep_alive(), KeepAlive::Provisioned);
-    }
-
-    #[test]
-    fn put_restarts_the_clock() {
-        let mut p = WarmPool::new(KeepAlive::Ttl(SimDuration::from_secs(100)));
-        p.put(SandboxId::new(1), t(0));
-        let id = p.take(t(90)).unwrap();
-        p.put(id, t(90)); // used at t=90: fresh again
-        assert!(p.evict_expired(t(150)).is_empty());
-        assert_eq!(p.evict_expired(t(191)), vec![SandboxId::new(1)]);
-    }
 }

@@ -1,10 +1,9 @@
-//! Concurrent warm-sandbox pools: the sharded, `&self` counterpart of
-//! [`WarmPool`](crate::WarmPool).
+//! Concurrent warm-sandbox pools, every operation on `&self`.
 //!
-//! The single-threaded pool serializes every `take`/`put` behind the
-//! platform's `&mut self`; under a multi-threaded front end that lock
-//! becomes the bottleneck long before the resume path does. This pool
-//! shards its entries so concurrent drivers proceed in parallel:
+//! A single queue behind the platform's `&mut self` serializes every
+//! `take`/`put`; under a multi-threaded front end that lock becomes the
+//! bottleneck long before the resume path does. This pool shards its
+//! entries so concurrent drivers proceed in parallel:
 //!
 //! * each shard keeps its warm entries on a **lock-free Treiber stack**
 //!   over a fixed slab of nodes (an atomic head packed as
@@ -21,7 +20,7 @@
 //! Each driver thread is pinned to a preferred shard (round-robin
 //! assignment on first use), which keeps a single-threaded driver on
 //! one shard — preserving the exact LIFO reuse order (and therefore the
-//! bit-identical benchmark baseline) of the unsharded pool whenever the
+//! bit-identical benchmark baseline) of a single queue whenever the
 //! pool holds at most one shard's capacity.
 
 use crate::pool::{KeepAlive, PoolStats};
@@ -65,8 +64,8 @@ fn decode_keep_alive(raw: u64) -> KeepAlive {
 }
 
 /// Whether an entry parked at `since_ns` has outlived the keep-alive
-/// `ka` (encoded) by time `now_ns`. Mirrors `WarmPool`'s guard against
-/// entries stamped in the future: they count as age zero.
+/// `ka` (encoded) by time `now_ns`. Entries stamped in the future count
+/// as age zero.
 fn expired(ka: u64, since_ns: u64, now_ns: u64) -> bool {
     ka != PROVISIONED && now_ns.saturating_sub(since_ns) > ka
 }
@@ -257,14 +256,14 @@ impl AtomicPoolStats {
 /// A sharded, concurrently usable pool of paused warm sandboxes for
 /// one function. Every operation takes `&self`.
 ///
-/// Semantics match [`WarmPool`](crate::WarmPool) — LIFO reuse for
-/// cache warmth, lazy expiry on `take` (an expired sandbox is never
-/// handed out), eager sweeps via [`ShardedWarmPool::evict_expired_into`] —
-/// with one documented relaxation: the strict *global* LIFO order is
-/// guaranteed only while the pool holds at most one shard's slab
-/// ([`SLOTS_PER_SHARD`] entries) per driver thread; beyond that,
-/// overflow entries interleave. Under concurrent drivers the reuse
-/// order is inherently racy anyway.
+/// Semantics — the contract `horse_check::spec::SpecPool` states: LIFO
+/// reuse for cache warmth, lazy expiry on `take` (an expired sandbox is
+/// never handed out), eager sweeps via
+/// [`ShardedWarmPool::evict_expired_into`] — with one documented
+/// relaxation: the strict *global* LIFO order is guaranteed only while
+/// the pool holds at most one shard's slab ([`SLOTS_PER_SHARD`] entries)
+/// per driver thread; beyond that, overflow entries interleave. Under
+/// concurrent drivers the reuse order is inherently racy anyway.
 ///
 /// # Example
 ///

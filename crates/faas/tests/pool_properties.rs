@@ -1,6 +1,6 @@
 //! Model-based property tests for the warm pool and the uLL scaler.
 
-use horse_faas::{KeepAlive, UllScaler, UllScalerConfig, WarmPool};
+use horse_faas::{KeepAlive, ShardedWarmPool, UllScaler, UllScalerConfig};
 use horse_sched::SandboxId;
 use horse_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -23,12 +23,14 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The pool against a vector model: same contents, same hits/misses,
-    /// same evictions under arbitrary operation sequences.
+    /// The pool, driven from one thread, against a vector model: same
+    /// contents, same hits/misses, same evictions under arbitrary
+    /// operation sequences (up to 60 entries, so the slab's overflow
+    /// deque is exercised too).
     #[test]
     fn pool_matches_reference_model(ops in proptest::collection::vec(pool_op(), 0..60)) {
         let ttl = SimDuration::from_secs(120);
-        let mut pool = WarmPool::new(KeepAlive::Ttl(ttl));
+        let pool = ShardedWarmPool::new(KeepAlive::Ttl(ttl));
         // Model: (id, last_used) in insertion order.
         let mut model: Vec<(u64, SimTime)> = Vec::new();
         let mut now = SimTime::ZERO;
@@ -55,15 +57,19 @@ proptest! {
                 PoolOp::AdvanceAndEvict(secs) => {
                     now += SimDuration::from_secs(secs);
                     let expired = pool.evict_expired(now);
-                    let expected: Vec<u64> = model
+                    let mut expected: Vec<u64> = model
                         .iter()
                         .take_while(|(_, since)| now.since(*since) > ttl)
                         .map(|(id, _)| *id)
                         .collect();
-                    let got: Vec<u64> = expired.iter().map(|s| s.as_u64()).collect();
+                    // The sweep walks slab and overflow in its own order.
+                    let mut got: Vec<u64> = expired.iter().map(|s| s.as_u64()).collect();
+                    got.sort_unstable();
+                    let evicted = expected.len();
+                    expected.sort_unstable();
                     prop_assert_eq!(&got, &expected, "eviction set");
-                    evictions += expected.len() as u64;
-                    model.drain(..expected.len());
+                    evictions += evicted as u64;
+                    model.drain(..evicted);
                 }
             }
             prop_assert_eq!(pool.len(), model.len());

@@ -241,9 +241,6 @@ pub struct SpliceRun {
 pub struct SplicePool {
     /// Configured parallel width (1 = inline).
     workers: usize,
-    /// Force inline execution regardless of `workers` (the
-    /// `--serial-splice` self-test lever).
-    serial: bool,
     shared: Arc<Shared>,
     /// One parked thread per slot (none for a width-1 pool).
     threads: Vec<JoinHandle<()>>,
@@ -298,7 +295,6 @@ impl SplicePool {
             .collect();
         Self {
             workers,
-            serial: false,
             shared,
             threads,
             generation: 0,
@@ -308,28 +304,14 @@ impl SplicePool {
         }
     }
 
-    /// Forces every merge onto the calling thread while keeping the
-    /// configured width for reporting — the `--serial-splice` must-fail
-    /// self-test: a serialized pool must make the sub-linear wall-clock
-    /// gate trip.
-    pub fn set_serial(&mut self, serial: bool) {
-        self.serial = serial;
-    }
-
-    /// Replaces the wall-clock straggler budget
-    /// (default [`DEFAULT_WALL_BUDGET_NANOS`]).
-    pub fn set_wall_budget_nanos(&mut self, nanos: u64) {
-        self.wall_budget_nanos = nanos;
-    }
-
     /// Configured parallel width.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Whether the pool currently executes inline (width 1 or serialized).
+    /// Whether the pool executes inline (width 1).
     pub fn is_inline(&self) -> bool {
-        self.serial || self.workers <= 1
+        self.workers <= 1
     }
 
     /// Cumulative counters.
@@ -561,22 +543,9 @@ mod tests {
     }
 
     #[test]
-    fn serialized_pool_runs_inline() {
-        let mut pool = SplicePool::parallel(8);
-        pool.set_serial(true);
-        assert!(pool.is_inline());
-        assert_eq!(
-            merge_with(&mut pool),
-            vec![5, 10, 20, 30, 40, 50, 60, 70, 80]
-        );
-        assert_eq!(pool.stats().dispatched_workers, 0);
-        assert_eq!(pool.stats().merges, 1);
-    }
-
-    #[test]
     fn wall_overruns_flagged_under_tiny_budget() {
         let mut pool = SplicePool::parallel(4);
-        pool.set_wall_budget_nanos(0); // every worker "overruns" a 0 budget
+        pool.wall_budget_nanos = 0; // every worker "overruns" a 0 budget
         let mut arena = Arena::new();
         let mut b = build(&mut arena, &[10, 30, 50, 70, 90]);
         let a = build(&mut arena, &[20, 40, 60, 80]);

@@ -391,12 +391,6 @@ impl Vmm {
         &self.injector
     }
 
-    /// Replaces the splice-straggler watchdog (default budget:
-    /// [`horse_sched::DEFAULT_SPLICE_BUDGET_NS`]).
-    pub fn set_watchdog(&mut self, watchdog: SpliceWatchdog) {
-        self.watchdog = watchdog;
-    }
-
     /// Replaces the splice worker pool (default: [`SplicePool::inline`],
     /// which never spawns). Install a [`SplicePool::parallel`] pool to
     /// execute the clean-path resume splice on real threads.

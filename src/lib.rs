@@ -69,7 +69,7 @@ pub mod prelude {
     pub use horse_core::{Arena, LoadUpdate, MergePlan, SortedList, SpliceMode};
     pub use horse_faas::{
         Cluster, DispatchPolicy, FaasError, FaasPlatform, FunctionId, HostId, InvocationRecord,
-        KeepAlive, PlatformConfig, StartStrategy, UllScaler, WarmPool,
+        KeepAlive, PlatformConfig, StartStrategy, UllScaler,
     };
     pub use horse_faults::{
         FaultInjector, FaultPlan, FaultSite, FaultTrigger, RecoveryOutcome, RetryPolicy,

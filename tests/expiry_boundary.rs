@@ -9,14 +9,14 @@
 //!   between a put and a take must not evict a fresh sandbox);
 //! * provisioned entries never expire.
 //!
-//! `WarmPool` (single-threaded), `ShardedWarmPool` (concurrent) and the
-//! `horse-check` reference model (`spec_expired`) were audited to agree
-//! on this; this test pins all three to the same boundary so a drive-by
-//! change to any one of them (`>` → `>=` is the classic off-by-one)
-//! fails loudly instead of silently desynchronizing the oracles.
+//! `ShardedWarmPool` and the `horse-check` reference model
+//! (`spec_expired`) were audited to agree on this; this test pins both to
+//! the same boundary so a drive-by change to either (`>` → `>=` is the
+//! classic off-by-one) fails loudly instead of silently desynchronizing
+//! the pool from its oracle.
 
 use horse_check::spec_expired;
-use horse_faas::{KeepAlive, ShardedWarmPool, WarmPool};
+use horse_faas::{KeepAlive, ShardedWarmPool};
 use horse_sched::SandboxId;
 use horse_sim::{SimDuration, SimTime};
 
@@ -27,20 +27,16 @@ fn at(ns: u64) -> SimTime {
 }
 
 /// Whether a `take(now)` hits on a pool holding one entry parked at
-/// `since`, for each implementation. All three answers must agree.
-fn take_hits(since: SimTime, now: SimTime) -> (bool, bool, bool) {
+/// `since`, for the pool and for the spec. Both answers must agree.
+fn take_hits(since: SimTime, now: SimTime) -> (bool, bool) {
     let ka = KeepAlive::Ttl(SimDuration::from_nanos(TTL_NS));
     let id = SandboxId::new(1);
-
-    let mut warm = WarmPool::new(ka);
-    warm.put(id, since);
-    let warm_hit = warm.take(now) == Some(id);
 
     let sharded = ShardedWarmPool::new(ka);
     sharded.put(id, since);
     let sharded_hit = sharded.take(now) == Some(id);
 
-    (warm_hit, sharded_hit, !spec_expired(ka, since, now))
+    (sharded_hit, !spec_expired(ka, since, now))
 }
 
 #[test]
@@ -57,8 +53,7 @@ fn boundary_is_strictly_greater_than_ttl() {
         (at(5_000 + TTL_NS + 1), false, "one ns past the ttl expires"),
         (at(5_000 + 10 * TTL_NS), false, "long past the ttl"),
     ] {
-        let (warm, sharded, spec) = take_hits(since, now);
-        assert_eq!(warm, expect_hit, "WarmPool at {label}");
+        let (sharded, spec) = take_hits(since, now);
         assert_eq!(sharded, expect_hit, "ShardedWarmPool at {label}");
         assert_eq!(spec, expect_hit, "spec_expired at {label}");
     }
@@ -67,22 +62,17 @@ fn boundary_is_strictly_greater_than_ttl() {
 #[test]
 fn future_stamps_count_as_age_zero() {
     // `since` after `now`: saturating age arithmetic, never expired.
-    let (warm, sharded, spec) = take_hits(at(50_000), at(1));
-    assert!(warm && sharded && spec, "future-stamped entries stay warm");
+    let (sharded, spec) = take_hits(at(50_000), at(1));
+    assert!(sharded && spec, "future-stamped entries stay warm");
 }
 
 #[test]
 fn eager_sweeps_share_the_take_boundary() {
     // evict_expired must use the identical strict-`>` comparison: an
-    // entry at exactly since + ttl survives the sweep in both pools.
+    // entry at exactly since + ttl survives the sweep.
     let ka = KeepAlive::Ttl(SimDuration::from_nanos(TTL_NS));
     let id = SandboxId::new(2);
     let since = at(0);
-
-    let mut warm = WarmPool::new(ka);
-    warm.put(id, since);
-    assert!(warm.evict_expired(at(TTL_NS)).is_empty(), "still warm");
-    assert_eq!(warm.evict_expired(at(TTL_NS + 1)), vec![id]);
 
     let sharded = ShardedWarmPool::new(ka);
     sharded.put(id, since);
@@ -94,10 +84,6 @@ fn eager_sweeps_share_the_take_boundary() {
 fn provisioned_entries_never_cross_the_boundary() {
     let id = SandboxId::new(3);
     let far = at(u64::MAX / 2);
-
-    let mut warm = WarmPool::new(KeepAlive::Provisioned);
-    warm.put(id, at(0));
-    assert_eq!(warm.take(far), Some(id));
 
     let sharded = ShardedWarmPool::new(KeepAlive::Provisioned);
     sharded.put(id, at(0));
