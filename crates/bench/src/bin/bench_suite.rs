@@ -38,8 +38,11 @@
 //!   `--throughput --threads 1` so the run produces them;
 //! * `bench_suite --throughput --threads 1,4 --gate-speedup 2` — fail
 //!   unless the best multi-threaded run clears `2×` the
-//!   single-threaded invocations/sec (the CI smoke gate; meaningless
-//!   on a single-core machine, so it is opt-in);
+//!   single-threaded invocations/sec (the CI smoke gate; opt-in, and it
+//!   skips itself — saying so — on a machine with fewer cores than the
+//!   widest `--threads` value, where the drivers cannot run in parallel
+//!   and no speed-up is measurable; the `--gate-min-ips` floor stays
+//!   armed there);
 //! * `bench_suite --wall-clock-resume` — also measure *real* resume
 //!   latency (real splice-worker threads, emulated per-vCPU wake cost)
 //!   at 1–144 vCPUs and emit `BENCH_wallclock.json`, gating that the
@@ -1048,7 +1051,15 @@ fn main() {
                     .push("min-ips gate: no single-threaded run measured".to_string()),
             }
         }
-        if let Some(gate) = opts.gate_speedup {
+        let widest = opts.threads.iter().copied().max().unwrap_or(1);
+        let cores = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
+        if opts.gate_speedup.is_some() && cores < widest {
+            println!(
+                "throughput gate: speedup gate SKIPPED — available_parallelism is {cores}, \
+                 below the widest --threads value ({widest}): the drivers share cores, so no \
+                 speed-up is measurable here"
+            );
+        } else if let Some(gate) = opts.gate_speedup {
             match speedup {
                 Some((threads, s)) if s >= gate => println!(
                     "throughput gate: {threads} threads reach {s:.2}x single-thread (>= {gate}x)"

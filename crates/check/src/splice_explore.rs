@@ -23,12 +23,14 @@
 //!
 //! [`explore_handoff`] checks the other half of the VMM's `SplicePool`:
 //! not *what* the workers write but *how a merge reaches them* — the
-//! park/unpark hand-off between the dispatching thread and the pool's
-//! long-lived workers (publish generation → take job → execute block →
-//! count down → wake dispatcher). It is a model, stepped one atomic
-//! operation at a time under the same three schedulers, and it executes
-//! the real splice blocks so a protocol bug also shows as a wrong queue.
-//! Its planted bug is [`Mutation::SpliceHandoffEarlyJoin`](crate::Mutation).
+//! park/unpark hand-off between the dispatching thread, which is also
+//! worker 0, and the pool's long-lived threads (publish generation →
+//! take job → execute block → count down → wake dispatcher, while the
+//! dispatcher executes block 0 between its last publish and its first
+//! look at the countdown). It is a model, stepped one atomic operation
+//! at a time under the same three schedulers, and it executes the real
+//! splice blocks so a protocol bug also shows as a wrong queue. Its
+//! planted bug is [`Mutation::SpliceHandoffEarlyJoin`](crate::Mutation).
 
 use crate::stepped::{self, Exploration, SchedulePolicy, Scheduler, Worker};
 use horse_core::{Arena, MergePlan, SortedList};
@@ -178,8 +180,10 @@ pub fn explore_splice(
             None
         };
 
-        // One splice per granted step, each worker on its own block.
-        let arena_ref = &arena;
+        // One splice per granted step, each worker on its own block. The
+        // arena is `!Sync`: the threads write through its link table and
+        // this thread books their writes once they are joined.
+        let links = arena.links();
         let stepped_workers = blocks
             .iter()
             .copied()
@@ -191,9 +195,9 @@ pub fn explore_splice(
                     let splice = next;
                     next += 1;
                     if bad_splice == Some(splice) {
-                        block.execute_one_misordered(arena_ref, splice);
+                        block.execute_one_misordered(links, splice);
                     } else {
-                        block.execute_one(arena_ref, splice);
+                        block.execute_one_on(links, splice);
                     }
                     SpliceStepRecord {
                         worker,
@@ -204,6 +208,7 @@ pub fn explore_splice(
             })
             .collect();
         let run = stepped::run_threaded(policy, seed, &budgets, stepped_workers, |_| ());
+        arena.count_pointer_writes(2 * run.steps.len() as u64);
         (run, stage_violation)
     };
 
@@ -236,7 +241,8 @@ pub fn explore_splice(
 /// Parameters of one hand-off exploration.
 #[derive(Debug, Clone, Copy)]
 pub struct HandoffExploreConfig {
-    /// Pool workers (≥ 1).
+    /// Pool width (≥ 1): the dispatcher as worker 0 plus `workers − 1`
+    /// parked threads.
     pub workers: usize,
     /// Back-to-back merges on the one pool: stale wake-up tokens only
     /// exist from the second merge on.
@@ -267,7 +273,9 @@ impl Default for HandoffExploreConfig {
 /// Generation value that tells a worker to exit.
 const SHUTDOWN: u64 = u64::MAX;
 
-/// Where the dispatcher is in `SplicePool::run` / `Drop`.
+/// Where the dispatcher is in `SplicePool::run` / `Drop`. Workers are
+/// numbered as the pool numbers them: 0 is the dispatcher itself, `1..`
+/// are the parked threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DispatcherAt {
     /// Store the countdown; open the next merge.
@@ -276,6 +284,8 @@ enum DispatcherAt {
     Publish(usize),
     /// `unpark` worker `w`.
     Unpark(usize),
+    /// Execute block 0 — the dispatcher is worker 0.
+    ExecuteOwn,
     /// Load the countdown: join, or park.
     Check,
     /// In `park` (runnable only while it holds a token).
@@ -344,19 +354,20 @@ impl HandoffCase {
 /// state where nobody can run. Checked, stopping at the first failure:
 ///
 /// * **no early join** — `park` may return spuriously at any instant, so
-///   whenever the dispatcher is waiting and its join condition reads
-///   true, every worker must already have executed the current merge's
-///   block; and again when it actually joins, where the merged queue
-///   must equal the sequential oracle;
+///   from the countdown's reset to the join, whenever the join condition
+///   reads true every parked thread must already have executed the
+///   current merge's block, and so must the dispatcher (block 0) once it
+///   is waiting; and again when it actually joins, where the merged
+///   queue must equal the sequential oracle;
 /// * **no lost wake-up** — some thread can always run until all are done;
 /// * **exactly once** — every worker executes every published merge once,
-///   and never finds its job slot empty.
+///   and no thread finds its job slot empty.
 ///
 /// A thread here is runnable by protocol state (its token), not by a step
 /// budget, so this loop keeps its own runnable rule and shares only the
-/// [`Scheduler`](crate::stepped). `decisions` names the thread granted
-/// each step (0 = dispatcher, `1 + w` = worker `w`); `steps` holds one
-/// `(worker, merge)` per block executed.
+/// [`Scheduler`](crate::stepped). `decisions` names the worker granted
+/// each step (0 = the dispatcher); `steps` holds one `(worker, merge)`
+/// per block executed.
 pub fn explore_handoff(
     cfg: &HandoffExploreConfig,
     policy: SchedulePolicy,
@@ -372,39 +383,64 @@ pub fn explore_handoff(
         }
     };
 
-    // The protocol's shared words.
+    // The protocol's shared words, indexed by worker (entry 0, the
+    // dispatcher's, is unused: it has no slot and never parks on one).
     let mut generation = vec![0u64; workers];
     let mut job_filled = vec![false; workers];
     let mut remaining = 0usize;
-    // Unpark tokens: index 0 the dispatcher's, `1 + w` worker `w`'s.
-    let mut token = vec![false; workers + 1];
+    // Unpark tokens.
+    let mut token = vec![false; workers];
 
     let mut dispatcher = DispatcherAt::Reset;
     let mut merge_no = 0u64;
     let mut worker_at = vec![WorkerAt::Check; workers];
+    worker_at[0] = WorkerAt::Done; // worker 0 is stepped as the dispatcher
     let mut served = vec![0u64; workers];
     // Merges each worker executed, in order.
     let mut executed: Vec<Vec<u64>> = vec![Vec::new(); workers];
     let mut case: Option<HandoffCase> = None;
 
-    let expected_steps = merges * (8 * workers + 6) + 2 * workers;
-    let mut sched = Scheduler::new(policy, seed, workers + 1, expected_steps);
+    let expected_steps = merges * (8 * (workers - 1) + 7) + 2 * (workers - 1);
+    let mut sched = Scheduler::new(policy, seed, workers, expected_steps);
     let mut decisions = Vec::new();
     let mut steps = Vec::new();
     let mut violation: Option<String> = None;
 
+    // Executes worker `w`'s block of the open merge, once.
+    let execute_block = |case: &Option<HandoffCase>,
+                         executed: &mut Vec<Vec<u64>>,
+                         steps: &mut Vec<(usize, u64)>,
+                         w: usize,
+                         merge: u64|
+     -> Option<String> {
+        let case = case.as_ref().expect("a merge is open");
+        match (&case.plan, executed[w].contains(&merge)) {
+            (_, true) => Some(format!("worker {w} executed merge {merge} twice")),
+            (None, _) => Some(format!(
+                "worker {w} executed merge {merge} after the dispatcher joined it"
+            )),
+            (Some(plan), false) => {
+                let staged = plan.stage(&case.b).expect("B is untouched until join");
+                staged.block(w, workers).execute(&case.arena);
+                executed[w].push(merge);
+                steps.push((w, merge));
+                None
+            }
+        }
+    };
+
     while violation.is_none() {
-        let mut runnable: Vec<usize> = Vec::with_capacity(workers + 1);
+        let mut runnable: Vec<usize> = Vec::with_capacity(workers);
         match dispatcher {
             DispatcherAt::Done => {}
             DispatcherAt::Parked if !token[0] => {}
             _ => runnable.push(0),
         }
-        for w in 0..workers {
+        for w in 1..workers {
             match worker_at[w] {
                 WorkerAt::Done => {}
-                WorkerAt::Parked if !token[1 + w] => {}
-                _ => runnable.push(1 + w),
+                WorkerAt::Parked if !token[w] => {}
+                _ => runnable.push(w),
             }
         }
         if runnable.is_empty() {
@@ -430,8 +466,12 @@ pub fn explore_handoff(
                 DispatcherAt::Reset => {
                     merge_no += 1;
                     case = Some(HandoffCase::generate(cfg, seed.wrapping_add(merge_no)));
-                    remaining = workers;
-                    DispatcherAt::Publish(0)
+                    remaining = workers - 1;
+                    if workers > 1 {
+                        DispatcherAt::Publish(1)
+                    } else {
+                        DispatcherAt::ExecuteOwn
+                    }
                 }
                 DispatcherAt::Publish(w) => {
                     job_filled[w] = true;
@@ -439,12 +479,16 @@ pub fn explore_handoff(
                     DispatcherAt::Unpark(w)
                 }
                 DispatcherAt::Unpark(w) => {
-                    token[1 + w] = true;
+                    token[w] = true;
                     if w + 1 < workers {
                         DispatcherAt::Publish(w + 1)
                     } else {
-                        DispatcherAt::Check
+                        DispatcherAt::ExecuteOwn
                     }
+                }
+                DispatcherAt::ExecuteOwn => {
+                    violation = execute_block(&case, &mut executed, &mut steps, 0, merge_no);
+                    DispatcherAt::Check
                 }
                 DispatcherAt::Check => {
                     if joinable(remaining) {
@@ -478,13 +522,15 @@ pub fn explore_handoff(
                     }
                     if merge_no < merges as u64 {
                         DispatcherAt::Reset
+                    } else if workers > 1 {
+                        DispatcherAt::Shutdown(1)
                     } else {
-                        DispatcherAt::Shutdown(0)
+                        DispatcherAt::Done
                     }
                 }
                 DispatcherAt::Shutdown(w) => {
                     generation[w] = SHUTDOWN;
-                    token[1 + w] = true;
+                    token[w] = true;
                     if w + 1 < workers {
                         DispatcherAt::Shutdown(w + 1)
                     } else {
@@ -494,7 +540,7 @@ pub fn explore_handoff(
                 DispatcherAt::Done => unreachable!("a finished thread is not runnable"),
             };
         } else {
-            let w = chosen - 1;
+            let w = chosen;
             worker_at[w] = match worker_at[w] {
                 WorkerAt::Check => {
                     if generation[w] == SHUTDOWN {
@@ -507,7 +553,7 @@ pub fn explore_handoff(
                     }
                 }
                 WorkerAt::Parked => {
-                    token[1 + w] = false;
+                    token[w] = false;
                     WorkerAt::Check
                 }
                 WorkerAt::Take => {
@@ -520,25 +566,7 @@ pub fn explore_handoff(
                     WorkerAt::Execute
                 }
                 WorkerAt::Execute => {
-                    let case = case.as_ref().expect("a merge is open");
-                    match (&case.plan, executed[w].contains(&served[w])) {
-                        (_, true) => {
-                            violation =
-                                Some(format!("worker {w} executed merge {} twice", served[w]));
-                        }
-                        (None, _) => {
-                            violation = Some(format!(
-                                "worker {w} executed merge {} after the dispatcher joined it",
-                                served[w]
-                            ));
-                        }
-                        (Some(plan), false) => {
-                            let staged = plan.stage(&case.b).expect("B is untouched until join");
-                            staged.block(w, workers).execute(&case.arena);
-                            executed[w].push(served[w]);
-                            steps.push((w, served[w]));
-                        }
-                    }
+                    violation = execute_block(&case, &mut executed, &mut steps, w, served[w]);
                     WorkerAt::CountDown
                 }
                 WorkerAt::CountDown => {
@@ -557,11 +585,16 @@ pub fn explore_handoff(
             };
         }
 
-        // `park` may return spuriously right now: the join condition must
-        // already be safe to act on.
+        // The countdown is all the dispatcher looks at, and `park` may
+        // return spuriously right now: while a merge is open, a join
+        // condition that reads true must mean every parked thread has
+        // executed its block — and, once the dispatcher waits on it, that
+        // block 0 is done too.
+        let open = case.as_ref().is_some_and(|c| c.plan.is_some());
         let waiting = matches!(dispatcher, DispatcherAt::Check | DispatcherAt::Parked);
-        if violation.is_none() && waiting && joinable(remaining) {
-            if let Some(w) = (0..workers).find(|&w| executed[w].last() != Some(&merge_no)) {
+        if violation.is_none() && open && joinable(remaining) {
+            let first = if waiting { 0 } else { 1 };
+            if let Some(w) = (first..workers).find(|&w| executed[w].last() != Some(&merge_no)) {
                 violation = Some(format!(
                     "early join possible: the dispatcher would join merge {merge_no} at \
                      countdown {remaining} while worker {w} has not executed its block"

@@ -8,15 +8,23 @@
 //! mutual exclusion*, exactly as the paper's Algorithm 1 requires.
 //!
 //! The `next` words live apart from the payloads, in a dense [`LinkTable`]
-//! behind an `Arc`: long-lived splice workers (which cannot borrow the
-//! arena) take a clone for the duration of one merge and write the same
-//! words the arena reads.
+//! behind an `Arc`: a thread other than the arena's owner writes the same
+//! words the arena reads through the table — borrowed by a scoped merge
+//! thread, cloned for the duration of one merge by a splice worker that
+//! outlives every borrow.
 //!
 //! The arena also counts the operations performed on it (key comparisons,
 //! next-pointer writes, allocations) — the deterministic cost model of
-//! `horse-vmm` converts these counts into virtual nanoseconds.
+//! `horse-vmm` converts these counts into virtual nanoseconds. The
+//! counters are plain single-writer [`Cell`]s, so the arena is `!Sync`
+//! and the compiler enforces the one booking rule: **threads write
+//! through a [`LinkTable`], the joiner counts.** Only the thread that
+//! owns the arena can reach a counting method; whoever joins the other
+//! threads books their writes once with [`Arena::count_pointer_writes`],
+//! so [`ArenaStats`] reads the same whichever thread spliced.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Sentinel encoding of "null" inside the atomic next pointers.
@@ -36,12 +44,12 @@ impl NodeRef {
 /// by reference count so a thread that outlives any borrow of the
 /// [`Arena`] can still splice.
 ///
-/// A clone taken with [`Arena::link_table`] addresses the same words as
-/// the arena until the arena next grows (growth installs a new, larger
-/// table). A holder must therefore drop its clone before the arena is
-/// mutably borrowed again — the splice pool's workers drop theirs before
-/// they signal completion. Writes through a clone are not counted in
-/// [`ArenaStats`]; the dispatcher books them with
+/// A clone of [`Arena::links`] addresses the same words as the arena
+/// until the arena next grows (growth installs a new, larger table). A
+/// holder must therefore drop its clone before the arena is mutably
+/// borrowed again — the splice pool's workers drop theirs before they
+/// signal completion. Writes through the table are not counted in
+/// [`ArenaStats`]; whoever joins the writers books them with
 /// [`Arena::count_pointer_writes`].
 #[derive(Debug, Clone)]
 pub struct LinkTable(Arc<[AtomicU32]>);
@@ -125,6 +133,13 @@ impl std::ops::Sub for ArenaStats {
 /// assert_eq!((k, v), (10, "vcpu0"));
 /// assert_eq!(arena.live(), 0);
 /// ```
+///
+/// The arena is `Send` but not `Sync` — its counters have one writer:
+///
+/// ```compile_fail
+/// fn shared_between_threads<T: Sync>() {}
+/// shared_between_threads::<horse_core::Arena<u32>>();
+/// ```
 #[derive(Debug)]
 pub struct Arena<T> {
     /// Node payloads; `None` while the slot is on the free list.
@@ -133,10 +148,19 @@ pub struct Arena<T> {
     links: LinkTable,
     free_list: Vec<u32>,
     live: usize,
-    comparisons: AtomicU64,
-    pointer_writes: AtomicU64,
-    allocs: AtomicU64,
-    frees: AtomicU64,
+    // Operation counters: single-writer `Cell`s, which also make the
+    // arena `!Sync` — a thread that cannot count must write through a
+    // [`LinkTable`] clone instead (see the module docs).
+    comparisons: Cell<u64>,
+    pointer_writes: Cell<u64>,
+    allocs: Cell<u64>,
+    frees: Cell<u64>,
+}
+
+/// `counter += n` on a single-writer counter.
+#[inline]
+fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
 }
 
 impl<T> Default for Arena<T> {
@@ -158,10 +182,10 @@ impl<T> Arena<T> {
             links: LinkTable::with_len(cap),
             free_list: Vec::new(),
             live: 0,
-            comparisons: AtomicU64::new(0),
-            pointer_writes: AtomicU64::new(0),
-            allocs: AtomicU64::new(0),
-            frees: AtomicU64::new(0),
+            comparisons: Cell::new(0),
+            pointer_writes: Cell::new(0),
+            allocs: Cell::new(0),
+            frees: Cell::new(0),
         }
     }
 
@@ -177,7 +201,7 @@ impl<T> Arena<T> {
 
     /// Allocates a node, reusing freed slots when possible.
     pub fn alloc(&mut self, key: i64, value: T) -> NodeRef {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
+        bump(&self.allocs, 1);
         self.live += 1;
         if let Some(idx) = self.free_list.pop() {
             let slot = &mut self.slots[idx as usize];
@@ -212,7 +236,7 @@ impl<T> Arena<T> {
         self.links.set_next(r, None);
         self.free_list.push(r.0);
         self.live -= 1;
-        self.frees.fetch_add(1, Ordering::Relaxed);
+        bump(&self.frees, 1);
         node
     }
 
@@ -250,56 +274,54 @@ impl<T> Arena<T> {
 
     /// Writes the intrusive next pointer of `r`.
     ///
-    /// This takes `&self`: next pointers are atomics so the 𝒫²𝒮ℳ merge
-    /// threads can splice *disjoint* nodes concurrently. Counted as one
-    /// pointer write.
+    /// Counted as one pointer write, so only the arena's owning thread can
+    /// call it; 𝒫²𝒮ℳ merge threads splice *disjoint* nodes concurrently
+    /// through [`Self::links`] instead.
     pub fn set_next(&self, r: NodeRef, next: Option<NodeRef>) {
-        self.pointer_writes.fetch_add(1, Ordering::Relaxed);
+        bump(&self.pointer_writes, 1);
         self.links.set_next(r, next);
     }
 
-    /// The arena's `next` words, uncounted.
-    pub(crate) fn links(&self) -> &LinkTable {
+    /// The arena's `next` words, uncounted and `Sync`: what a thread other
+    /// than the owner splices through. A thread that cannot borrow the
+    /// arena takes a clone (see [`LinkTable`] for the drop-before-`&mut`
+    /// rule).
+    #[inline]
+    pub fn links(&self) -> &LinkTable {
         &self.links
     }
 
-    /// A handle on the arena's `next` words for a thread that cannot
-    /// borrow the arena (see [`LinkTable`] for the drop-before-`&mut`
-    /// rule).
-    pub fn link_table(&self) -> LinkTable {
-        self.links.clone()
-    }
-
     /// Books `n` pointer writes not made through [`Self::set_next`]:
-    /// head/tail handle updates, and writes a splice worker made through
-    /// a [`LinkTable`] clone — so [`ArenaStats`] reads the same whichever
-    /// thread spliced.
+    /// head/tail handle updates, and writes made through [`Self::links`]
+    /// — so [`ArenaStats`] reads the same whichever thread spliced.
+    #[inline]
     pub fn count_pointer_writes(&self, n: u64) {
-        self.pointer_writes.fetch_add(n, Ordering::Relaxed);
+        bump(&self.pointer_writes, n);
     }
 
-    /// Counts one key comparison (called by list scans).
-    pub(crate) fn count_comparison(&self) {
-        self.comparisons.fetch_add(1, Ordering::Relaxed);
+    /// Counts `n` key comparisons (called by list scans).
+    #[inline]
+    pub(crate) fn count_comparisons(&self, n: u64) {
+        bump(&self.comparisons, n);
     }
 
     /// Returns the accumulated operation counters and resets them to zero.
     pub fn take_stats(&self) -> ArenaStats {
         ArenaStats {
-            comparisons: self.comparisons.swap(0, Ordering::Relaxed),
-            pointer_writes: self.pointer_writes.swap(0, Ordering::Relaxed),
-            allocs: self.allocs.swap(0, Ordering::Relaxed),
-            frees: self.frees.swap(0, Ordering::Relaxed),
+            comparisons: self.comparisons.take(),
+            pointer_writes: self.pointer_writes.take(),
+            allocs: self.allocs.take(),
+            frees: self.frees.take(),
         }
     }
 
     /// Reads the accumulated operation counters without resetting them.
     pub fn stats(&self) -> ArenaStats {
         ArenaStats {
-            comparisons: self.comparisons.load(Ordering::Relaxed),
-            pointer_writes: self.pointer_writes.load(Ordering::Relaxed),
-            allocs: self.allocs.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
+            comparisons: self.comparisons.get(),
+            pointer_writes: self.pointer_writes.get(),
+            allocs: self.allocs.get(),
+            frees: self.frees.get(),
         }
     }
 }
@@ -405,7 +427,7 @@ mod tests {
         let n1 = a.alloc(1, 1);
         let n2 = a.alloc(2, 2);
         {
-            let links = a.link_table();
+            let links = a.links().clone();
             links.set_next(n1, Some(n2));
             assert_eq!(a.next(n1), Some(n2), "the arena reads a clone's write");
             a.set_next(n2, Some(n1));
@@ -424,19 +446,22 @@ mod tests {
     #[test]
     fn parallel_set_next_is_safe() {
         // The property 𝒫²𝒮ℳ relies on: concurrent set_next on disjoint
-        // nodes from scoped threads is race-free.
+        // nodes from scoped threads is race-free. The threads write
+        // through the link table; the joiner counts.
         let mut a: Arena<u32> = Arena::new();
         let nodes: Vec<_> = (0..64).map(|i| a.alloc(i, i as u32)).collect();
-        let arena = &a;
+        let links = a.links();
         crossbeam::scope(|s| {
             for pair in nodes.chunks(2) {
                 let (from, to) = (pair[0], pair[1]);
-                s.spawn(move |_| arena.set_next(from, Some(to)));
+                s.spawn(move |_| links.set_next(from, Some(to)));
             }
         })
         .unwrap();
+        a.count_pointer_writes(32);
         for pair in nodes.chunks(2) {
             assert_eq!(a.next(pair[0]), Some(pair[1]));
         }
+        assert_eq!(a.stats().pointer_writes, 32);
     }
 }

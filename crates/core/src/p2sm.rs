@@ -13,7 +13,9 @@
 //! At resume time ([`MergePlan::merge`], the paper's Algorithm 1) each
 //! splice is two pointer writes, one thread per splice point, with **no
 //! mutual exclusion** — the splice points are disjoint nodes, which the
-//! arena guarantees race-freedom for via atomic next pointers.
+//! arena guarantees race-freedom for via atomic next pointers. Whatever
+//! thread executes them, node splices are written through the arena's
+//! [`LinkTable`] and booked on its counters once, by whoever joins.
 //!
 //! The plan also supports the incremental maintenance the paper describes
 //! in §4.1.1 and §4.1.3: whenever the `ull_runqueue` or the paused
@@ -308,7 +310,7 @@ impl MergePlan {
     ///
     /// Returns [`StalePlanError`] if `b` changed since the plan was
     /// computed or last updated.
-    pub fn merge<T: Sync>(
+    pub fn merge<T>(
         self,
         arena: &Arena<T>,
         b: &mut SortedList,
@@ -323,7 +325,7 @@ impl MergePlan {
     /// [`Self::precompute_in`]. Identical merge semantics; a stale plan
     /// surrenders its buffers with the error's context (they are simply
     /// dropped — staleness is the cold path).
-    pub fn merge_recycling<T: Sync>(
+    pub fn merge_recycling<T>(
         self,
         arena: &Arena<T>,
         b: &mut SortedList,
@@ -332,13 +334,14 @@ impl MergePlan {
         {
             let staged = self.stage(b)?;
             let n = staged.node_splice_count();
+            let links = arena.links();
             match mode {
-                SpliceMode::Sequential => staged.block(0, 1).execute(arena),
+                SpliceMode::Sequential => staged.block(0, 1).execute_on(links),
                 SpliceMode::Parallel => {
                     crossbeam::scope(|scope| {
                         for w in 0..n {
                             let block = staged.block(w, n);
-                            scope.spawn(move |_| block.execute(arena));
+                            scope.spawn(move |_| block.execute_on(links));
                         }
                     })
                     .expect("merge splice thread panicked");
@@ -351,12 +354,15 @@ impl MergePlan {
                             if block.is_empty() {
                                 continue;
                             }
-                            scope.spawn(move |_| block.execute(arena));
+                            scope.spawn(move |_| block.execute_on(links));
                         }
                     })
                     .expect("merge splice thread panicked");
                 }
             }
+            // One booking rule for the three strategies: the threads
+            // wrote through the link table, the joiner counts.
+            arena.count_pointer_writes(2 * n as u64);
         }
         Ok(self.finish_staged(arena, b))
     }
@@ -370,8 +376,11 @@ impl MergePlan {
     ///
     /// 1. `let staged = plan.stage(&b)?;`
     /// 2. hand each [`StagedMerge::block`] to a worker; every worker runs
-    ///    [`SpliceBlock::execute`] with no lock — blocks are disjoint;
-    /// 3. join the workers, drop `staged`;
+    ///    [`SpliceBlock::execute_on`] the arena's [`LinkTable`] with no
+    ///    lock — blocks are disjoint;
+    /// 3. join the workers, book their writes with
+    ///    [`Arena::count_pointer_writes`] (two per node splice), drop
+    ///    `staged`;
     /// 4. `plan.finish_staged(&arena, &mut b)` applies the head splice
     ///    and handle fixes on the calling thread.
     ///
@@ -941,20 +950,30 @@ impl SpliceBlock<'_> {
         self.splices[i].sub.len
     }
 
-    /// Executes every splice in the block on the calling thread.
-    pub fn execute<T: Sync>(&self, arena: &Arena<T>) {
+    /// Executes every splice in the block on the thread that owns the
+    /// arena, and books the writes.
+    pub fn execute<T>(&self, arena: &Arena<T>) {
+        self.execute_on(arena.links());
+        arena.count_pointer_writes(2 * self.splices.len() as u64);
+    }
+
+    /// Executes every splice in the block on any thread. The writes are
+    /// not counted in [`crate::ArenaStats`]: whoever joins the workers
+    /// books two per splice with [`Arena::count_pointer_writes`].
+    pub fn execute_on(&self, links: &LinkTable) {
         for i in 0..self.splices.len() {
-            self.execute_one(arena, i);
+            self.execute_one_on(links, i);
         }
     }
 
-    /// Executes splice `i` of the block: links `array_b[anchor] →
-    /// sub.head` and `sub.tail → old next` — the two pointer writes of
-    /// the paper's Algorithm 1. Exposed one-at-a-time so the check-plane
-    /// explorer can interleave workers at splice granularity.
-    pub fn execute_one<T: Sync>(&self, arena: &Arena<T>, i: usize) {
-        self.resolve(i).link_in(arena.links());
-        arena.count_pointer_writes(2);
+    /// Executes splice `i` of the block, uncounted like
+    /// [`Self::execute_on`]: links `array_b[anchor] → sub.head` and
+    /// `sub.tail → old next` — the two pointer writes of the paper's
+    /// Algorithm 1. Exposed one-at-a-time so the check-plane explorer can
+    /// interleave workers at splice granularity.
+    #[inline]
+    pub fn execute_one_on(&self, links: &LinkTable, i: usize) {
+        self.resolve(i).link_in(links);
     }
 
     /// Copies the block into `out` (cleared first, capacity reused) with
@@ -978,17 +997,17 @@ impl SpliceBlock<'_> {
         }
     }
 
-    /// Deliberately buggy variant of [`Self::execute_one`] that links the
-    /// anchor to `sub.tail` instead of `sub.head`, silently dropping the
-    /// interior of any sub-list with ≥ 2 elements. Exists solely for the
-    /// check plane's seeded `--mutate` misorder bug (the concurrency
+    /// Deliberately buggy variant of [`Self::execute_one_on`] that links
+    /// the anchor to `sub.tail` instead of `sub.head`, silently dropping
+    /// the interior of any sub-list with ≥ 2 elements. Exists solely for
+    /// the check plane's seeded `--mutate` misorder bug (the concurrency
     /// analogue of [`PlanCorruption`]) — never called by a real merge.
-    pub fn execute_one_misordered<T: Sync>(&self, arena: &Arena<T>, i: usize) {
+    pub fn execute_one_misordered(&self, links: &LinkTable, i: usize) {
         let s = &self.splices[i];
         let anchor_node = self.array_b[s.anchor as usize];
-        let tmp = arena.next(anchor_node);
-        arena.set_next(anchor_node, Some(s.sub.tail));
-        arena.set_next(s.sub.tail, tmp);
+        let tmp = links.next(anchor_node);
+        links.set_next(anchor_node, Some(s.sub.tail));
+        links.set_next(s.sub.tail, tmp);
     }
 }
 
@@ -1360,14 +1379,15 @@ mod tests {
             {
                 let staged = plan.stage(&b).unwrap();
                 assert_eq!(staged.a_len(), 6);
-                let arena_ref = &arena;
+                let links = arena.links();
                 crossbeam::scope(|scope| {
                     for w in 0..workers {
                         let block = staged.block(w, workers);
-                        scope.spawn(move |_| block.execute(arena_ref));
+                        scope.spawn(move |_| block.execute_on(links));
                     }
                 })
                 .unwrap();
+                arena.count_pointer_writes(2 * staged.node_splice_count() as u64);
             }
             let (report, _bufs) = plan.finish_staged(&arena, &mut b);
             assert_eq!(report.splices, expected_splices);
@@ -1452,7 +1472,7 @@ mod tests {
         {
             let staged = plan.stage(&b).unwrap();
             assert_eq!(staged.node_splice_count(), 1);
-            staged.block(0, 1).execute_one_misordered(&arena, 0);
+            staged.block(0, 1).execute_one_misordered(arena.links(), 0);
         }
         let (report, _) = plan.finish_staged(&arena, &mut b);
         assert_eq!(report.merged, 3, "accounting still claims the full merge");

@@ -53,13 +53,16 @@ fn staged_parallel_merge(b_keys: &[i64], a_keys: &[i64], workers: usize) -> Vec<
     let plan = MergePlan::precompute(&arena, &b, a);
     {
         let staged = plan.stage(&b).unwrap();
-        let arena_ref = &arena;
+        // The arena is `!Sync`: threads write through its link table,
+        // the joiner counts.
+        let links = arena.links();
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let block = staged.block(w, workers);
-                scope.spawn(move || block.execute(arena_ref));
+                scope.spawn(move || block.execute_on(links));
             }
         });
+        arena.count_pointer_writes(2 * staged.node_splice_count() as u64);
     }
     let (report, _) = plan.finish_staged(&arena, &mut b);
     assert_eq!(report.merged, a_keys.len());

@@ -5,7 +5,7 @@ use crate::governor::{Governor, GovernorPolicy, PState};
 use crate::load::LoadTracker;
 use crate::runqueue::{RqId, RqKind, RunQueue};
 use crate::topology::{CpuId, CpuTopology};
-use crate::vcpu::Vcpu;
+use crate::vcpu::{SandboxId, Vcpu};
 use horse_core::{
     Arena, ArenaStats, MergePlan, MergeReport, NodeRef, PlanBuffers, SortedList, SpliceMode,
     StalePlanError,
@@ -270,6 +270,30 @@ impl HostScheduler {
             .list
             .remove(&mut self.arena, node)
             .expect("vCPU node not on the given run queue")
+    }
+
+    /// Removes the `n` vCPUs `sandbox` holds on a queue (pause path),
+    /// appending their credits and payloads to `out` in queue order: one
+    /// walk of the queue that stops at the n-th, where `n` calls of
+    /// [`Self::dequeue_vcpu`] each walk to their node's predecessor.
+    /// Returns the number of queue nodes visited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue holds fewer than `n` vCPUs of that sandbox.
+    pub fn dequeue_sandbox(
+        &mut self,
+        rq: RqId,
+        sandbox: SandboxId,
+        n: usize,
+        out: &mut Vec<(i64, Vcpu)>,
+    ) -> usize {
+        self.queues[rq.0].list.remove_where(
+            &mut self.arena,
+            n,
+            |vcpu| vcpu.sandbox == sandbox,
+            |credit, vcpu| out.push((credit, vcpu)),
+        )
     }
 
     /// Pops the front (least-credit) vCPU for dispatch.

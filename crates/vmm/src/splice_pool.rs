@@ -2,99 +2,114 @@
 //!
 //! The paper's Algorithm 1 executes the splice on pre-existing,
 //! highest-priority kernel workers; this pool is the userspace analogue
-//! the VMM owns across resumes. [`SplicePool::parallel`] creates its
-//! workers **once**; they sleep in [`std::thread::park`] between merges.
-//! A staged merge ([`MergePlan::stage`]) partitions the splice-point map
-//! into disjoint per-worker blocks, and the pool hands each worker its
-//! block — two atomic pointer writes per splice, **no lock on the merge
-//! itself** — and the wakes of the merged vCPUs (emulated; see
-//! [`Vmm::set_wake_emulation_nanos`]).
+//! the VMM owns across resumes. A staged merge ([`MergePlan::stage`])
+//! partitions the splice-point map into `w` disjoint blocks — two atomic
+//! pointer writes per splice, **no lock on the merge itself** — plus the
+//! wakes of the merged vCPUs (emulated; see
+//! [`Vmm::set_wake_emulation_nanos`]). **The dispatcher is worker 0:** a
+//! width-`w` pool ([`SplicePool::parallel`]) creates `w − 1` threads
+//! **once**; they sleep in [`std::thread::park`] between merges, and the
+//! thread that calls [`SplicePool::run`] executes block 0 itself while
+//! they execute blocks `1..w`.
 //!
 //! # The hand-off
 //!
-//! Per worker: a job slot and a generation word. Per pool: a countdown
-//! and the dispatcher's thread handle. One merge, dispatcher side:
+//! Two parties: the dispatcher and the parked threads. Per thread: a job
+//! slot and a generation word. Per pool: a countdown and the dispatcher's
+//! thread handle. One merge, dispatcher side:
 //!
-//! 1. copy each worker's block into its slot's [`DetachedBlock`];
+//! 1. copy blocks `1..w` into their slots' [`DetachedBlock`]s;
 //! 2. store its own [`Thread`] handle (captured per dispatch — the `Vmm`
 //!    sits behind a mutex and successive resumes come from different
-//!    driver threads) and set the countdown to the worker count;
-//! 3. per worker: put a [`LinkTable`] clone in the slot, store the new
+//!    driver threads) and set the countdown to `w − 1`;
+//! 3. per thread: put a [`LinkTable`] clone in the slot, store the new
 //!    generation (`Release`), `unpark`;
-//! 4. `park` until the countdown reads 0 (`Acquire`).
+//! 4. execute block 0 through the arena's own link table, under
+//!    `catch_unwind`, and stamp the elapsed time;
+//! 5. `park` until the countdown reads 0 (`Acquire`) — **always**, even
+//!    if step 4 panicked;
+//! 6. book every block's pointer writes on the arena's counters, then
+//!    re-raise one panic if any block panicked.
 //!
-//! Worker side: `park` until the generation word differs from the last
+//! Thread side: `park` until the generation word differs from the last
 //! one served (`Acquire`), execute the block, stamp the elapsed time,
 //! **drop the link table**, decrement the countdown (`AcqRel`); whoever
 //! takes it to 0 unparks the dispatcher.
+//!
+//! *The unwind rule.* `run` never unwinds between step 3 and the end of
+//! step 5: a `run` that left early would return the arena to its owner
+//! while a thread still holds the link table and writes through it (and
+//! `Arena::alloc` may then replace the table under it). Block 0 therefore
+//! runs under the same `catch_unwind` as a thread's block, and a panic in
+//! either surfaces only after the countdown — once, as "a splice worker
+//! thread panicked", whichever blocks it came from. The pool stays usable.
 //!
 //! *Orderings.* The generation `Release`/`Acquire` pair publishes the
 //! countdown reset and every `Relaxed` link-table write the dispatcher
 //! made since the last merge. The countdown decrements are read-modify-
 //! write operations on one word, so they form a release sequence: the
-//! dispatcher's `Acquire` load of 0 sees every worker's `Relaxed` splice
-//! writes and elapsed stamp. The job slot itself is a `Mutex` (the crate
-//! forbids `unsafe`); it is never contended — the dispatcher fills it
-//! while the worker is parked on the old generation.
+//! dispatcher's `Acquire` load of 0 sees every thread's `Relaxed` splice
+//! writes and elapsed stamp. Block 0's writes are the dispatcher's own
+//! and need no edge. The job slot itself is a `Mutex` (the crate forbids
+//! `unsafe`); it is never contended — the dispatcher fills it while the
+//! thread is parked on the old generation.
 //!
 //! *Wake-ups.* Both wait loops re-check their word after every `park`:
-//! `park` may return spuriously, and the last worker of generation *g*
+//! `park` may return spuriously, and the last thread of generation *g*
 //! may deliver its `unpark` after the dispatcher has already seen 0, so
 //! the token surfaces during generation *g + 1*. A lost wake-up is
 //! impossible: each side stores its word *before* it unparks, and an
 //! `unpark` that arrives before the `park` makes that `park` return.
 //!
-//! *No spin.* A prototype of exactly this protocol on the 2-core
-//! reference box, driver and workers sharing one CPU as `wide_resume`
-//! pins them (2 workers, 36 two-store splices), measured p50 per merge:
+//! *Two parties, not three.* With the dispatcher only dispatching, a
+//! width-2 merge on one CPU (driver and threads pinned together, as
+//! `wide_resume` pins them) is at least three context switches — D → W0 →
+//! W1 → D — and whenever the two workers did not run back to back the
+//! resume landed in a second latency mode ≈ 3.7 µs slower (≈ 13 % of
+//! resumes; the 99th percentile sat on that mode's edge). With the
+//! dispatcher as worker 0 the same merge is two switches, D → W1 → D, the
+//! second worker no longer exists and the mode is gone (EXPERIMENTS.md,
+//! *Linear pause and two-party hand-off*). A waiter that spins instead of parking holds the CPU the
+//! other side needs — 64 `spin_loop` iterations before the park measured
+//! 7.8 µs per merge against 4.1 µs parking at once, 2 000 iterations
+//! 96 µs — so both sides park at once.
 //!
-//! | hand-off | p50 |
-//! |---|---|
-//! | spawn + join scoped threads per merge (what this replaced) | 40.1 µs |
-//! | park/unpark, no spin | 4.1 µs |
-//! | 64-iteration `spin_loop`, then park | 7.8 µs |
-//! | 2 000-iteration `spin_loop`, then park | 96 µs |
-//!
-//! A spinning waiter holds the CPU the other side needs, so every spin
-//! iteration is pure delay there. The pool therefore parks at once.
-//!
-//! *Lifetimes.* A worker outlives every borrow, so it touches nothing
+//! *Lifetimes.* A thread outlives every borrow, so it touches nothing
 //! borrowed. The arena's `next` words are reference-counted
-//! ([`LinkTable`]); the worker drops its clone before it decrements the
+//! ([`LinkTable`]); the thread drops its clone before it decrements the
 //! countdown, so once [`SplicePool::run`] returns only the arena holds
 //! the table and `Arena::alloc` may replace it with a larger one. The
 //! plan's tables are not shared at all: the dispatcher copies each
-//! worker's splices, anchors resolved to nodes, into a buffer the slot
-//! keeps (24 bytes per splice, no allocation once warm). Lending the
-//! tables by reference count instead was measured: the plan's pause-time
-//! mutators then each pay an exclusivity check (`Arc::make_mut`, a locked
-//! compare-exchange) on the *inline* path — seven per warm invoke when
-//! that was measured (six of them peer-plan rebuilds, since made lazy),
-//! ≈ 45 ns of an `ull_seq` invoke that took 1.15 µs then and takes
-//! 0.79 µs now — against 45 ns of copying at 36 splices (135 ns at 144)
-//! on a 5 µs dispatch that only parallel pools pay. Dropping the pool
-//! publishes a shutdown generation and joins every worker.
+//! thread's splices, anchors resolved to nodes, into a buffer the slot
+//! keeps (24 bytes per splice, no allocation once warm); block 0 is
+//! executed straight from the borrowed plan. Lending the tables by
+//! reference count instead was measured: the plan's pause-time mutators
+//! then each pay an exclusivity check (`Arc::make_mut`, a locked
+//! compare-exchange) on the *inline* path. Dropping the pool publishes a
+//! shutdown generation and joins every thread.
 //!
 //! Two properties are load-bearing:
 //!
-//! * **The default pool is inline.** A pool with one worker has no
-//!   threads and executes the staged blocks on the calling thread — the
-//!   warm invoke path keeps its zero-allocation, no-syscall profile and
-//!   the throughput floor holds. Parallel dispatch is opt-in per VMM
+//! * **The default pool is inline.** A pool of width 1 has no threads and
+//!   executes the one block on the calling thread — the warm invoke path
+//!   keeps its zero-allocation, no-syscall profile and the throughput
+//!   floor holds. Parallel dispatch is opt-in per VMM
 //!   ([`SplicePool::parallel`]), used by the benches and tests that
-//!   measure real concurrency; it allocates nothing per merge either.
+//!   measure real concurrency; it allocates nothing per merge either. It
+//!   is evidence for the O(1) *structure* of the splice, not a fast path:
+//!   on the reference box inline beats it at every evaluated width.
 //! * **Dispatch cost is independent of the splice count.** A parallel
-//!   pool always hands a job to every worker, even when some blocks are
-//!   empty, so a 1-splice resume and a 144-splice resume pay the same
-//!   fixed hand-off — the wall-clock analogue of the paper's O(1) claim,
-//!   which `bench_suite --wall-clock-resume` gates.
+//!   pool always wakes every thread, even when some blocks are empty, so
+//!   a 1-splice resume and a 144-splice resume pay the same fixed
+//!   hand-off — the wall-clock analogue of the paper's O(1) claim, which
+//!   `bench_suite --wall-clock-resume` gates.
 //!
 //! Virtual-axis accounting never touches this module: the cost model
 //! charges `horse_merge_ns(splices, parallel)` from the *plan's* splice
 //! count, the merge report comes from `finish_staged` in every execution
-//! strategy, and the workers' pointer writes are booked on the arena's
-//! counter after the join, so enabling the pool cannot move a single
-//! `*_ns` leaf.
+//! strategy, and the arena's counters follow one rule — threads write
+//! through a [`LinkTable`], the joiner counts — so enabling the pool
+//! cannot move a single `*_ns` leaf.
 //!
 //! [`MergePlan::stage`]: horse_core::MergePlan::stage
 //! [`Vmm::set_wake_emulation_nanos`]: crate::Vmm::set_wake_emulation_nanos
@@ -118,8 +133,8 @@ pub const DEFAULT_WALL_BUDGET_NANOS: u64 = 5_000_000;
 /// counting: the dispatcher increments from 0).
 const SHUTDOWN: u64 = u64::MAX;
 
-/// What one worker needs for one merge. The block buffer stays in the
-/// slot and is refilled per merge; the link table is lent per merge.
+/// What one parked thread needs for one merge. The block buffer stays in
+/// the slot and is refilled per merge; the link table is lent per merge.
 #[derive(Debug, Default)]
 struct Job {
     block: DetachedBlock,
@@ -128,8 +143,9 @@ struct Job {
     wake_nanos_per_vcpu: u64,
 }
 
-/// Per-worker hand-off state: slot `w` belongs to worker `w`, never
-/// shared between workers.
+/// Per-thread hand-off state: slot `w − 1` belongs to worker `w ≥ 1`,
+/// never shared between workers (worker 0 is the dispatcher and needs
+/// none).
 #[derive(Debug, Default)]
 struct WorkerSlot {
     /// Bumped by the dispatcher once `job` is filled; the worker serves
@@ -145,7 +161,7 @@ struct WorkerSlot {
 #[derive(Debug)]
 struct Shared {
     slots: Box<[WorkerSlot]>,
-    /// Workers that have not finished the current generation.
+    /// Threads that have not finished the current generation.
     remaining: AtomicUsize,
     /// The thread parked in [`SplicePool::run`] (set per dispatch).
     dispatcher: Mutex<Option<Thread>>,
@@ -160,9 +176,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Body of worker `w` (see the module docs for the protocol).
-fn worker_loop(shared: &Shared, w: usize) {
-    let slot = &shared.slots[w];
+/// Body of the thread serving slot `index` (see the module docs for the
+/// protocol).
+fn worker_loop(shared: &Shared, index: usize) {
+    let slot = &shared.slots[index];
     let mut served = 0;
     loop {
         let generation = loop {
@@ -213,7 +230,8 @@ pub struct SplicePoolStats {
     pub merges: u64,
     /// Merges that dispatched real worker threads.
     pub parallel_merges: u64,
-    /// Worker threads dispatched, cumulative.
+    /// Workers dispatched, cumulative: the pool's width per parallel
+    /// merge, the dispatching thread's own share included.
     pub dispatched_workers: u64,
     /// Workers whose wall-clock duration overran the watchdog's wall
     /// budget (observational; see [`SpliceWatchdog::supervise_wall`]).
@@ -223,7 +241,8 @@ pub struct SplicePoolStats {
 /// Outcome of one staged-merge execution on the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpliceRun {
-    /// Worker threads dispatched (0 = executed inline on the caller).
+    /// Workers dispatched, the calling thread as worker 0 included (0 =
+    /// executed inline on the caller).
     pub dispatched_workers: usize,
     /// Workers that overran the wall budget (always 0 inline).
     pub wall_overruns: usize,
@@ -242,7 +261,7 @@ pub struct SplicePool {
     /// Configured parallel width (1 = inline).
     workers: usize,
     shared: Arc<Shared>,
-    /// One parked thread per slot (none for a width-1 pool).
+    /// One parked thread per slot: `workers − 1` of them.
     threads: Vec<JoinHandle<()>>,
     /// Last generation published.
     generation: u64,
@@ -268,16 +287,18 @@ impl SplicePool {
         Self::parallel(1)
     }
 
-    /// A pool that owns `workers` parked threads (`horse-splice-<w>`) and
-    /// hands every merge to all of them (clamped to at least 1; 1 spawns
-    /// nothing and is [`Self::inline`]).
+    /// A pool that splits every merge `workers` ways: the calling thread
+    /// is worker 0, and the pool owns `workers − 1` parked threads
+    /// (`horse-splice-1` … `horse-splice-<workers − 1>`) that it wakes on
+    /// every merge (clamped to at least 1; 1 spawns nothing and is
+    /// [`Self::inline`]).
     ///
     /// # Panics
     ///
     /// Panics if the OS refuses to create a thread.
     pub fn parallel(workers: usize) -> Self {
         let workers = workers.max(1);
-        let threaded = if workers > 1 { workers } else { 0 };
+        let threaded = workers - 1;
         let shared = Arc::new(Shared {
             slots: (0..threaded).map(|_| WorkerSlot::default()).collect(),
             remaining: AtomicUsize::new(0),
@@ -285,11 +306,11 @@ impl SplicePool {
             panicked: AtomicBool::new(false),
         });
         let threads = (0..threaded)
-            .map(|w| {
+            .map(|index| {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
-                    .name(format!("horse-splice-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .name(format!("horse-splice-{}", index + 1))
+                    .spawn(move || worker_loop(&shared, index))
                     .expect("spawn a splice worker thread")
             })
             .collect();
@@ -298,7 +319,7 @@ impl SplicePool {
             shared,
             threads,
             generation: 0,
-            elapsed_scratch: Vec::with_capacity(threaded),
+            elapsed_scratch: Vec::with_capacity(workers),
             wall_budget_nanos: DEFAULT_WALL_BUDGET_NANOS,
             stats: SplicePoolStats::default(),
         }
@@ -332,10 +353,12 @@ impl SplicePool {
     /// # Panics
     ///
     /// Panics if the staged plan is corrupt (an anchor outside `arrayB`:
-    /// before any worker is woken) or does not belong to `arena` (a node
-    /// outside its link table: in a worker, re-raised here once every
-    /// worker has reported). The pool stays usable either way.
-    pub fn run<T: Sync>(
+    /// in a parked thread's share before any thread is woken, in the
+    /// caller's own share once every thread has reported) or does not
+    /// belong to `arena` (a node outside its link table: re-raised here,
+    /// once, after every thread has reported). The pool stays usable
+    /// either way.
+    pub fn run<T>(
         &mut self,
         arena: &Arena<T>,
         staged: &StagedMerge<'_>,
@@ -355,42 +378,55 @@ impl SplicePool {
                 wall_overruns: 0,
             }
         } else {
-            // Always hand a job to every worker — empty blocks included —
-            // so the dispatch cost is a constant of the pool, not of the
-            // splice count (the wall-clock O(1) property under test).
+            // Always wake every thread — empty blocks included — so the
+            // dispatch cost is a constant of the pool, not of the splice
+            // count (the wall-clock O(1) property under test).
             let workers = self.workers;
             let shared = &*self.shared;
-            // Copy every block before publishing any: resolving a block
-            // of a corrupt plan can panic, and must then leave no worker
-            // running on behalf of a `run` that has unwound.
-            for (w, slot) in shared.slots.iter().enumerate() {
+            // Copy every thread's block before publishing any: resolving
+            // a block of a corrupt plan can panic, and must then leave no
+            // thread running on behalf of a `run` that has unwound.
+            for (slot, w) in shared.slots.iter().zip(1..) {
                 staged
                     .block(w, workers)
                     .detach_into(&mut lock(&slot.job).block);
             }
             *lock(&shared.dispatcher) = Some(thread::current());
-            shared.remaining.store(workers, Ordering::Relaxed);
+            shared.remaining.store(workers - 1, Ordering::Relaxed);
             self.generation += 1;
             for (slot, handle) in shared.slots.iter().zip(&self.threads) {
                 {
                     let mut job = lock(&slot.job);
-                    job.links = Some(arena.link_table());
+                    job.links = Some(arena.links().clone());
                     job.wake_nanos_per_vcpu = wake_nanos_per_vcpu;
                 }
                 slot.generation.store(self.generation, Ordering::Release);
                 handle.thread().unpark();
             }
+            // Worker 0 is this thread. From here to the end of the wait
+            // `run` must not unwind (see *The unwind rule*).
+            let own = catch_unwind(AssertUnwindSafe(|| {
+                let t0 = Instant::now();
+                let block = staged.block(0, workers);
+                block.execute_on(arena.links());
+                emulate_wakes(
+                    (0..block.len()).map(|i| block.sub_len(i)),
+                    wake_nanos_per_vcpu,
+                );
+                t0.elapsed().as_nanos() as u64
+            }));
             while shared.remaining.load(Ordering::Acquire) != 0 {
                 thread::park();
             }
             arena.count_pointer_writes(2 * staged.node_splice_count() as u64);
-            assert!(
-                !shared.panicked.swap(false, Ordering::Relaxed),
-                "a splice worker thread panicked"
-            );
+            let (Ok(own_nanos), false) = (own, shared.panicked.swap(false, Ordering::Relaxed))
+            else {
+                panic!("a splice worker thread panicked");
+            };
             self.stats.parallel_merges += 1;
             self.stats.dispatched_workers += workers as u64;
             self.elapsed_scratch.clear();
+            self.elapsed_scratch.push(own_nanos);
             self.elapsed_scratch.extend(
                 shared
                     .slots
@@ -514,14 +550,8 @@ mod tests {
         assert_eq!(ids(&pool), created, "no thread is spawned per merge");
         assert_eq!(pool.generation, 5);
         let names: Vec<_> = pool.threads.iter().map(|h| h.thread().name()).collect();
-        assert_eq!(
-            names,
-            [
-                Some("horse-splice-0"),
-                Some("horse-splice-1"),
-                Some("horse-splice-2")
-            ]
-        );
+        // The dispatching thread is worker 0: a width-3 pool owns two.
+        assert_eq!(names, [Some("horse-splice-1"), Some("horse-splice-2")]);
     }
 
     #[test]

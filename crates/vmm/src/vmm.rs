@@ -267,8 +267,9 @@ struct HotScratch {
     /// Recycled 𝒫²𝒮ℳ plan buffers (merge/teardown returns, precompute
     /// takes).
     plans: Vec<PlanBuffers>,
-    /// Pause-path scratch: uLL queues touched by the dequeues.
-    touched_ull: Vec<RqId>,
+    /// Pause-path scratch: the queue of every dequeued vCPU, then the
+    /// uLL queues among them.
+    touched: Vec<RqId>,
     /// Resume-path scratch: per-queue vCPU counts for the vanilla load
     /// update (find-or-push over a handful of queues — no tree nodes).
     per_rq: Vec<(RqId, u32)>,
@@ -340,6 +341,9 @@ pub struct Vmm {
     wake_emulation_nanos: u64,
     /// Recycled hot-path buffers (see [`HotScratch`]).
     scratch: HotScratch,
+    /// List nodes the pause path has stepped over (see
+    /// [`Vmm::pause_walk_steps`]).
+    pause_walk_steps: u64,
 }
 
 impl Vmm {
@@ -363,6 +367,7 @@ impl Vmm {
             pool: SplicePool::default(),
             wake_emulation_nanos: 0,
             scratch: HotScratch::default(),
+            pause_walk_steps: 0,
         }
     }
 
@@ -398,14 +403,18 @@ impl Vmm {
         self.pool = pool;
     }
 
-    /// The splice worker pool (mutable, e.g. to flip it serial).
-    pub fn splice_pool_mut(&mut self) -> &mut SplicePool {
-        &mut self.pool
-    }
-
     /// Cumulative splice-pool counters.
     pub fn splice_pool_stats(&self) -> SplicePoolStats {
         self.pool.stats()
+    }
+
+    /// List nodes every [`Vmm::pause`] so far has stepped over: the
+    /// queue nodes its dequeue walks visited plus the merge-list nodes
+    /// it appended. Test hook pinning the pause to O(n + q) steps by
+    /// count rather than by time.
+    #[doc(hidden)]
+    pub fn pause_walk_steps(&self) -> u64 {
+        self.pause_walk_steps
     }
 
     /// Sets the emulated wake-IPI cost per merged vCPU, in wall-clock
@@ -574,24 +583,29 @@ impl Vmm {
         let mut placements = std::mem::take(&mut sb.placements);
         let n = placements.len() as u32;
 
-        // Dequeue every vCPU, remembering credits for re-insertion. If the
-        // vCPUs sit on an ull_runqueue, other paused sandboxes' plans
-        // against that queue go stale and must be rebuilt afterwards —
-        // unless this sandbox is the queue's resident.
+        // Dequeue every vCPU, remembering credits for re-insertion: one
+        // walk per queue the sandbox sits on, taking all its vCPUs there
+        // (a per-vCPU `dequeue_vcpu` walks to each node's predecessor —
+        // O(n·q) where this is O(q)). If the vCPUs sit on an
+        // ull_runqueue, other paused sandboxes' plans against that queue
+        // go stale and must be rebuilt afterwards — unless this sandbox
+        // is the queue's resident.
         // The save-buffer comes from the scratch pool (filled by earlier
         // resumes); the drained placement buffer goes back for the next
         // resume — a warm pause/resume cycle allocates nothing.
         let mut saved: Vec<(i64, Vcpu)> = HotScratch::take_buf(&mut self.scratch.saved);
-        let mut touched_ull = std::mem::take(&mut self.scratch.touched_ull);
-        for p in placements.drain(..) {
-            let (credit, vcpu) = self.sched.dequeue_vcpu(p.rq, p.node);
-            if self.sched.queue(p.rq).kind() == RqKind::Ull {
-                touched_ull.push(p.rq);
-            }
-            saved.push((credit, vcpu));
-        }
+        let mut touched = std::mem::take(&mut self.scratch.touched);
+        touched.extend(placements.drain(..).map(|p| p.rq));
         self.scratch.placements.push(placements);
-        self.vacate(&mut touched_ull, id);
+        touched.sort_unstable_by_key(|rq| rq.as_usize());
+        let mut rest = &touched[..];
+        while let Some(&rq) = rest.first() {
+            let on_rq = rest.iter().take_while(|r| **r == rq).count();
+            self.pause_walk_steps += self.sched.dequeue_sandbox(rq, id, on_rq, &mut saved) as u64;
+            rest = &rest[on_rq..];
+        }
+        touched.retain(|rq| self.sched.queue(*rq).kind() == RqKind::Ull);
+        self.vacate(&mut touched, id);
         // Unstable sort: `(credit, vcpu.id)` keys are unique, so the
         // order is identical to the stable sort — without its temporary
         // merge buffer.
@@ -615,11 +629,11 @@ impl Vmm {
             self.recorder.gauge_add(Gauge::QueuedVcpus, -i64::from(n));
             self.recorder
                 .gauge(Gauge::LiveSandboxes, self.sandboxes.len() as u64);
-            for &rq in &touched_ull {
+            for &rq in &touched {
                 self.rebuild_plans_on(rq, None);
             }
-            touched_ull.clear();
-            self.scratch.touched_ull = touched_ull;
+            touched.clear();
+            self.scratch.touched = touched;
             saved.clear();
             self.scratch.saved.push(saved);
             self.injector
@@ -660,10 +674,13 @@ impl Vmm {
             // plans describe, not against another sandbox's transit.
             self.settle(rq);
             let before = self.sched.arena_stats();
+            // `saved` is sorted: appending at the tail builds the list a
+            // sorted insert per vCPU would, and books the same counts.
             let mut merge_vcpus = SortedList::new();
             for &(credit, vcpu) in &saved {
-                merge_vcpus.insert_sorted(self.sched.arena_mut(), credit, vcpu);
+                merge_vcpus.push_back(self.sched.arena_mut(), credit, vcpu);
             }
+            self.pause_walk_steps += u64::from(n);
             let ops = self.sched.arena_stats() - before;
             breakdown.set(
                 PauseStep::BuildMergeList,
@@ -720,11 +737,11 @@ impl Vmm {
             }
         }
         // Rebuild plans of other paused sandboxes whose B we mutated.
-        for &rq in &touched_ull {
+        for &rq in &touched {
             self.rebuild_plans_on(rq, Some(id));
         }
-        touched_ull.clear();
-        self.scratch.touched_ull = touched_ull;
+        touched.clear();
+        self.scratch.touched = touched;
 
         self.stats.pauses += 1;
         self.record_pause(id, policy, &breakdown, n);
@@ -1284,6 +1301,7 @@ impl Vmm {
                 touched.push(p.rq);
             }
         }
+        touched.sort_unstable_by_key(|rq| rq.as_usize());
         self.vacate(&mut touched, id);
         if let Some(paused) = paused {
             if let Some(plan) = paused.plan {
@@ -1641,13 +1659,12 @@ impl Vmm {
     }
 
     /// Sandbox `id` just dequeued its vCPUs from the uLL queues in
-    /// `touched` (one entry per vCPU). Leaves in `touched` each queue
-    /// once whose plans now need rebuilding: not the queue `id` was the
-    /// resident of, which is back to what its plans describe. Clears the
-    /// mark either way — the rebuild the caller owes covers any other
-    /// resident's transit too.
+    /// `touched` (one entry per vCPU, sorted by queue). Leaves in
+    /// `touched` each queue once whose plans now need rebuilding: not the
+    /// queue `id` was the resident of, which is back to what its plans
+    /// describe. Clears the mark either way — the rebuild the caller owes
+    /// covers any other resident's transit too.
     fn vacate(&mut self, touched: &mut Vec<RqId>, id: SandboxId) {
-        touched.sort_unstable_by_key(|r| r.as_usize());
         touched.dedup();
         touched.retain(|rq| self.plans_on[rq.as_usize()].resident.take() != Some(id));
     }

@@ -72,7 +72,8 @@ fn random_keys(rng: &mut StdRng, max_len: usize) -> Vec<i64> {
     (0..len).map(|_| rng.gen_range(-200i64..200)).collect()
 }
 
-/// Live `horse-splice-<w>` threads of this process. By name rather than
+/// Live `horse-splice-<w>` threads of this process — `workers − 1` per
+/// pool, the dispatching thread being worker 0. By name rather than
 /// `Threads:` of `/proc/self/status`: libtest starts the next test's
 /// thread (parked on [`serial`]) whenever it likes.
 #[cfg(target_os = "linux")]
@@ -103,7 +104,7 @@ fn threads_settle_to(expected: usize) -> bool {
 #[test]
 fn ten_thousand_back_to_back_merges_match_the_sequential_oracle() {
     let _serial = serial();
-    for workers in [2usize, 3, 8] {
+    for workers in [2usize, 3, 4, 8, 16] {
         let mut pool = SplicePool::parallel(workers);
         let mut rng = StdRng::seed_from_u64(0x5EED ^ workers as u64);
         for round in 0..10_000u64 {
@@ -224,7 +225,7 @@ fn dropping_a_pool_joins_every_worker() {
         // Dropped once every worker is up (a thread names itself, so the
         // count climbs as they start).
         let pool = SplicePool::parallel(workers);
-        assert!(threads_settle_to(workers), "workers={workers}");
+        assert!(threads_settle_to(workers - 1), "workers={workers}");
         drop(pool);
         assert!(threads_settle_to(0), "workers={workers}");
     }
@@ -233,7 +234,7 @@ fn dropping_a_pool_joins_every_worker() {
     for _ in 0..200 {
         pooled_merge(&mut pool, &[10, 30, 50], &[20, 40, 60]);
     }
-    assert_eq!(splice_threads(), 4);
+    assert_eq!(splice_threads(), 3);
     drop(pool);
     assert!(threads_settle_to(0));
     // Inline pools never had a thread.
@@ -276,10 +277,72 @@ fn a_worker_panic_surfaces_in_run_and_the_pool_survives() {
     );
 }
 
+/// The dispatcher is worker 0, so its own block can be the one that
+/// panics: alone, beside a panicking thread, or not at all. Either way
+/// `run` raises one panic, and only after every thread has let go of the
+/// link table — a `run` that unwound early would hand the arena back
+/// while a thread still writes through it.
+#[test]
+fn a_panic_in_block_0_in_a_thread_or_in_both_is_raised_once_after_the_join() {
+    let _serial = serial();
+    let mut pool = SplicePool::parallel(2);
+    // Two node splices, one per block: `after 10 ← 20` is block 0 (the
+    // dispatcher's), `after 30 ← 40` is block 1. A merged node allocated
+    // after the padding lies outside a four-word link table.
+    for (early_20, early_40) in [(false, true), (true, false), (false, false)] {
+        let mut big: Arena<u64> = Arena::new();
+        let b = build(&mut big, &[10, 30], B_BASE);
+        let mut a = SortedList::new();
+        let mut insert = |big: &mut Arena<u64>, early: bool, at: bool, key: i64| {
+            if early == at {
+                a.insert_sorted(big, key, A_BASE + key as u64);
+            }
+        };
+        insert(&mut big, early_20, true, 20);
+        insert(&mut big, early_40, true, 40);
+        let _padding = build(&mut big, &(0..64).collect::<Vec<_>>(), 0);
+        insert(&mut big, early_20, false, 20);
+        insert(&mut big, early_40, false, 40);
+        let plan = MergePlan::precompute(&big, &b, a);
+        let staged = plan.stage(&b).unwrap();
+        assert_eq!(staged.node_splice_count(), 2);
+
+        let mut small: Arena<u64> = Arena::new();
+        build(&mut small, &[1, 2, 3], 0);
+        let before = pool.stats();
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&small, &staged, &SpliceWatchdog::default(), 0);
+        }))
+        .expect_err("a block indexed past the small arena's link table");
+        let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(message, "a splice worker thread panicked");
+        assert_eq!(
+            pool.stats().parallel_merges,
+            before.parallel_merges,
+            "a panicked merge is not counted"
+        );
+
+        // Nobody still holds `small`'s link table: growing the arena
+        // replaces it, which the arena asserts (debug builds) it alone
+        // may do.
+        build(&mut small, &(0..64).collect::<Vec<_>>(), 0);
+        // Same pool, a sound merge — twice, so a flag or a countdown left
+        // over from the panicked generation would show.
+        for _ in 0..2 {
+            assert_eq!(
+                pooled_merge(&mut pool, &[10, 30], &[20, 40]),
+                oracle(&[10, 30], &[20, 40])
+            );
+        }
+    }
+}
+
 /// A corrupt plan (`stage` only guards staleness; `Vmm::resume` runs
 /// `check_consistent` first) panics while the dispatcher resolves its
-/// anchors — before any worker is woken, so nothing is left running on
-/// behalf of the unwound `run`, and the pool stays usable.
+/// anchors — a thread's share before any thread is woken, its own share
+/// (as here: the skewed anchor is splice 0) under the `catch_unwind` it
+/// waits out the countdown behind — so nothing is left running on behalf
+/// of the unwound `run`, and the pool stays usable.
 #[test]
 fn a_corrupt_plan_panics_before_any_worker_is_woken() {
     let _serial = serial();
