@@ -181,8 +181,7 @@ pub fn explore_splice(
         };
 
         // One splice per granted step, each worker on its own block. The
-        // arena is `!Sync`: the threads write through its link table and
-        // this thread books their writes once they are joined.
+        // arena is `!Sync`: the threads write through its link table.
         let links = arena.links();
         let stepped_workers = blocks
             .iter()
@@ -208,7 +207,6 @@ pub fn explore_splice(
             })
             .collect();
         let run = stepped::run_threaded(policy, seed, &budgets, stepped_workers, |_| ());
-        arena.count_pointer_writes(2 * run.steps.len() as u64);
         (run, stage_violation)
     };
 
@@ -421,7 +419,7 @@ pub fn explore_handoff(
             )),
             (Some(plan), false) => {
                 let staged = plan.stage(&case.b).expect("B is untouched until join");
-                staged.block(w, workers).execute(&case.arena);
+                staged.block(w, workers).execute_on(case.arena.links());
                 executed[w].push(merge);
                 steps.push((w, merge));
                 None

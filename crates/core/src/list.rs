@@ -124,11 +124,9 @@ impl SortedList {
 
     /// Appends a new node at the tail and returns it: what
     /// [`Self::insert_sorted`] does for a key no smaller than every key
-    /// in the list, in O(1) instead of a full scan. The arena is booked
-    /// what that scan would have counted — one comparison per existing
-    /// element, 2 pointer writes into an empty list and 3 otherwise, 1
-    /// allocation — so the cost model keeps charging the kernel's sorted
-    /// insert while the wall clock stops executing it.
+    /// in the list, in O(1) instead of a full scan. The arena counts what
+    /// it executes: one allocation and one link write (the old tail's
+    /// `next`, or the head handle of an empty list).
     ///
     /// # Panics
     ///
@@ -139,16 +137,12 @@ impl SortedList {
             "push_back below the tail's key"
         );
         let node = arena.alloc(key, value);
-        arena.count_comparisons(self.len as u64);
         match self.tail {
             None => {
                 self.head = Some(node);
-                arena.count_pointer_writes(2);
+                arena.count_pointer_writes(1);
             }
-            Some(t) => {
-                arena.links().set_next(t, Some(node));
-                arena.count_pointer_writes(3);
-            }
+            Some(t) => arena.set_next(t, Some(node)),
         }
         self.tail = Some(node);
         self.len += 1;
@@ -222,8 +216,9 @@ impl SortedList {
     /// match, handing each entry to `sink` in list order. Returns the
     /// number of nodes the walk visited (`is_target` runs once per
     /// visited node). Equivalent to `n` calls of [`Self::remove`] — same
-    /// surviving list, and the arena is booked the same 2 pointer writes
-    /// and 1 free per removed node — without their `n` predecessor walks.
+    /// surviving list, same entries — without their `n` predecessor
+    /// walks. The arena counts the frees; the relinks go through its link
+    /// table, uncounted, since no price reads them.
     ///
     /// # Panics
     ///
@@ -259,7 +254,6 @@ impl SortedList {
             sink(key, value);
             removed += 1;
         }
-        arena.count_pointer_writes(2 * n as u64);
         visited
     }
 

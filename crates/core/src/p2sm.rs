@@ -15,7 +15,8 @@
 //! mutual exclusion** — the splice points are disjoint nodes, which the
 //! arena guarantees race-freedom for via atomic next pointers. Whatever
 //! thread executes them, node splices are written through the arena's
-//! [`LinkTable`] and booked on its counters once, by whoever joins.
+//! [`LinkTable`], uncounted: the cost model prices the merge from the
+//! plan's splice count, and the [`MergeReport`] says what was written.
 //!
 //! The plan also supports the incremental maintenance the paper describes
 //! in §4.1.1 and §4.1.3: whenever the `ull_runqueue` or the paused
@@ -53,8 +54,9 @@ struct Splice {
 pub enum SpliceMode {
     /// One scoped thread per splice point — the paper's Algorithm 1.
     /// In the paper's in-kernel setting these are pre-existing,
-    /// highest-priority workers; in userspace each is an OS thread, so
-    /// prefer [`SpliceMode::ParallelChunked`] when wall-clock matters.
+    /// highest-priority workers; in userspace each is an OS thread spawned
+    /// per merge. The resume path runs its splices on a persistent worker
+    /// pool over [`MergePlan::stage`] instead, never through this mode.
     #[default]
     Parallel,
     /// A bounded number of scoped threads, each splicing a contiguous
@@ -360,9 +362,6 @@ impl MergePlan {
                     .expect("merge splice thread panicked");
                 }
             }
-            // One booking rule for the three strategies: the threads
-            // wrote through the link table, the joiner counts.
-            arena.count_pointer_writes(2 * n as u64);
         }
         Ok(self.finish_staged(arena, b))
     }
@@ -378,9 +377,7 @@ impl MergePlan {
     /// 2. hand each [`StagedMerge::block`] to a worker; every worker runs
     ///    [`SpliceBlock::execute_on`] the arena's [`LinkTable`] with no
     ///    lock — blocks are disjoint;
-    /// 3. join the workers, book their writes with
-    ///    [`Arena::count_pointer_writes`] (two per node splice), drop
-    ///    `staged`;
+    /// 3. join the workers and drop `staged`;
     /// 4. `plan.finish_staged(&arena, &mut b)` applies the head splice
     ///    and handle fixes on the calling thread.
     ///
@@ -950,16 +947,9 @@ impl SpliceBlock<'_> {
         self.splices[i].sub.len
     }
 
-    /// Executes every splice in the block on the thread that owns the
-    /// arena, and books the writes.
-    pub fn execute<T>(&self, arena: &Arena<T>) {
-        self.execute_on(arena.links());
-        arena.count_pointer_writes(2 * self.splices.len() as u64);
-    }
-
-    /// Executes every splice in the block on any thread. The writes are
-    /// not counted in [`crate::ArenaStats`]: whoever joins the workers
-    /// books two per splice with [`Arena::count_pointer_writes`].
+    /// Executes every splice in the block on any thread, the arena's
+    /// owner included. The writes are not counted in
+    /// [`crate::ArenaStats`].
     pub fn execute_on(&self, links: &LinkTable) {
         for i in 0..self.splices.len() {
             self.execute_one_on(links, i);
@@ -1055,8 +1045,7 @@ impl DetachedBlock {
     }
 
     /// Executes every splice in the block. The writes are not counted in
-    /// [`crate::ArenaStats`]: whoever joins the workers books two per
-    /// splice with [`Arena::count_pointer_writes`].
+    /// [`crate::ArenaStats`].
     pub fn execute_on(&self, links: &LinkTable) {
         for s in &self.splices {
             s.link_in(links);
@@ -1387,7 +1376,6 @@ mod tests {
                     }
                 })
                 .unwrap();
-                arena.count_pointer_writes(2 * staged.node_splice_count() as u64);
             }
             let (report, _bufs) = plan.finish_staged(&arena, &mut b);
             assert_eq!(report.splices, expected_splices);
@@ -1419,7 +1407,7 @@ mod tests {
             let plan = MergePlan::precompute(&arena, &b, a);
             {
                 let staged = plan.stage(&b).unwrap();
-                staged.block(0, 1).execute(&arena);
+                staged.block(0, 1).execute_on(arena.links());
             }
             plan.finish_staged(&arena, &mut b).0
         };

@@ -8,7 +8,7 @@
 //! These are the concurrency-plane counterparts of `p2sm_properties.rs`:
 //! that file checks the splice *semantics* per [`SpliceMode`]; this one
 //! checks the worker-facing staging surface (`stage` → `block` →
-//! `execute` → `finish_staged`) that the VMM's `SplicePool` and the
+//! `execute_on` → `finish_staged`) that the VMM's `SplicePool` and the
 //! `splice_explore` check harness drive.
 
 use horse_core::{Arena, MergePlan, SortedList};
@@ -53,8 +53,7 @@ fn staged_parallel_merge(b_keys: &[i64], a_keys: &[i64], workers: usize) -> Vec<
     let plan = MergePlan::precompute(&arena, &b, a);
     {
         let staged = plan.stage(&b).unwrap();
-        // The arena is `!Sync`: threads write through its link table,
-        // the joiner counts.
+        // The arena is `!Sync`: threads write through its link table.
         let links = arena.links();
         std::thread::scope(|scope| {
             for w in 0..workers {
@@ -62,7 +61,6 @@ fn staged_parallel_merge(b_keys: &[i64], a_keys: &[i64], workers: usize) -> Vec<
                 scope.spawn(move || block.execute_on(links));
             }
         });
-        arena.count_pointer_writes(2 * staged.node_splice_count() as u64);
     }
     let (report, _) = plan.finish_staged(&arena, &mut b);
     assert_eq!(report.merged, a_keys.len());
@@ -145,7 +143,7 @@ proptest! {
                 // Execute the blocks one by one: if the tiling dropped or
                 // double-claimed an index, the merged queue below diverges
                 // from the oracle.
-                block.execute(&arena);
+                block.execute_on(arena.links());
             }
             prop_assert_eq!(cursor, n, "partition must end at the range end");
             prop_assert_eq!(block_len_sum, n, "every index owned exactly once");

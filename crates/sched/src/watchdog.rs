@@ -23,9 +23,6 @@ pub const DEFAULT_SPLICE_BUDGET_NS: u64 = 500;
 /// some of its splice threads straggled or died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RescuePlan {
-    /// Threads that completed within the budget (≥ 1 — the resuming
-    /// thread itself always survives to run the rescue).
-    pub healthy_threads: usize,
     /// Splice points reclaimed from stragglers and completed
     /// sequentially.
     pub rescued_splices: usize,
@@ -61,10 +58,8 @@ impl SpliceWatchdog {
     /// or died). The reclaimed splice points are completed sequentially;
     /// the survivors' work stands.
     pub fn plan_rescue(&self, splices: usize, lost: usize) -> RescuePlan {
-        let rescued = lost.min(splices);
         RescuePlan {
-            healthy_threads: (splices - rescued).max(1),
-            rescued_splices: rescued,
+            rescued_splices: lost.min(splices),
         }
     }
 
@@ -78,7 +73,7 @@ impl SpliceWatchdog {
     /// Supervises a *real-thread* merge after the fact: given each
     /// worker's measured wall-clock duration and a wall budget, reports
     /// how many workers overran as a [`RescuePlan`] (`rescued_splices`
-    /// counts overrunning workers; `healthy_threads` the rest, never 0).
+    /// counts overrunning workers).
     ///
     /// Purely observational — the workers already joined, their splices
     /// already stand, and nothing here feeds the virtual cost axis or the
@@ -86,13 +81,11 @@ impl SpliceWatchdog {
     /// pool stats can flag runners whose threads straggle for real, with
     /// the same vocabulary the virtual-axis rescue uses.
     pub fn supervise_wall(&self, per_worker_nanos: &[u64], wall_budget_nanos: u64) -> RescuePlan {
-        let overran = per_worker_nanos
-            .iter()
-            .filter(|&&d| d > wall_budget_nanos)
-            .count();
         RescuePlan {
-            healthy_threads: (per_worker_nanos.len() - overran).max(1),
-            rescued_splices: overran,
+            rescued_splices: per_worker_nanos
+                .iter()
+                .filter(|&&d| d > wall_budget_nanos)
+                .count(),
         }
     }
 }
@@ -106,11 +99,9 @@ mod tests {
         let w = SpliceWatchdog::default();
         assert_eq!(w.budget_ns(), DEFAULT_SPLICE_BUDGET_NS);
         let plan = w.plan_rescue(4, 1);
-        assert_eq!(plan.healthy_threads, 3);
         assert_eq!(plan.rescued_splices, 1);
         let all_lost = w.plan_rescue(4, 9);
         assert_eq!(all_lost.rescued_splices, 4);
-        assert_eq!(all_lost.healthy_threads, 1, "resuming thread survives");
         let none = w.plan_rescue(0, 3);
         assert_eq!(none.rescued_splices, 0);
     }
@@ -127,20 +118,17 @@ mod tests {
         let w = SpliceWatchdog::default();
         let plan = w.supervise_wall(&[100, 5_000, 200, 9_000], 1_000);
         assert_eq!(plan.rescued_splices, 2);
-        assert_eq!(plan.healthy_threads, 2);
         // Budget is inclusive: exactly-on-budget workers are healthy.
         let at_budget = w.supervise_wall(&[1_000, 1_000], 1_000);
         assert_eq!(at_budget.rescued_splices, 0);
     }
 
     #[test]
-    fn supervise_wall_all_overrun_keeps_one_healthy() {
+    fn supervise_wall_counts_every_overrun_and_none_when_empty() {
         let w = SpliceWatchdog::default();
         let plan = w.supervise_wall(&[5, 6, 7], 1);
         assert_eq!(plan.rescued_splices, 3);
-        assert_eq!(plan.healthy_threads, 1, "resuming thread survives");
         let empty = w.supervise_wall(&[], 100);
         assert_eq!(empty.rescued_splices, 0);
-        assert_eq!(empty.healthy_threads, 1);
     }
 }

@@ -2,12 +2,8 @@
 //!
 //! The paper measures the resume pipeline in nanoseconds on a CloudLab
 //! r650. A reproduction cannot measure a patched KVM, so we do the next
-//! best thing: the resume paths **actually execute** their data-structure
-//! work on the `horse-sched` substrate, and this model converts the
-//! *counted operations* (key comparisons, pointer writes, allocations,
-//! lock acquisitions, load updates, splice threads) into virtual
-//! nanoseconds using per-operation costs calibrated so that the paper's
-//! anchor points hold:
+//! best thing: this model is the one place a virtual step is priced, in
+//! per-operation costs calibrated so that the paper's anchor points hold:
 //!
 //! * vanilla resume ≈ 0.6 µs at 1 vCPU growing to ≈ 1.1 µs at 36 vCPUs
 //!   (the paper's "resuming a sandbox can take up to 1.1 µs");
@@ -15,10 +11,14 @@
 //! * HORSE resume ≈ 150 ns, flat in the vCPU count;
 //! * the resulting speedup at 36 vCPUs ≈ 7×.
 //!
-//! Because the inputs are operation *counts*, the model is exact and
-//! machine-independent: two runs produce identical breakdowns. Wall-clock
-//! measurements of the same code paths are reported separately by the
-//! criterion benches in `horse-bench`.
+//! A step is priced from its *inputs* — the vCPU count, the plan's splice
+//! count — by the operation-count rule of the kernel algorithm it models,
+//! in closed form. Only where the code still executes that algorithm (the
+//! vanilla sorted insert, the fallback merge walk) is the step priced from
+//! the arena's counted operations instead. Either way the model is exact
+//! and machine-independent: two runs produce identical breakdowns.
+//! Wall-clock measurements of the same code paths are reported separately
+//! by the `benchmark/` package.
 
 use horse_core::ArenaStats;
 use serde::{Deserialize, Serialize};
@@ -148,20 +148,28 @@ impl CostModel {
     /// Cost of a 𝒫²𝒮ℳ step ④: splice threads run in parallel, so the
     /// serialized cost is the kickoff per thread plus one splice's pointer
     /// writes (two), not the sum over threads.
-    pub fn horse_merge_ns(&self, splices: usize, parallel: bool) -> f64 {
+    pub fn horse_merge_ns(&self, splices: usize) -> f64 {
         let per_splice = 2.0 * self.ptr_write_ns;
-        if parallel {
-            self.horse_merge_base_ns
-                + splices as f64 * self.splice_thread_ns
-                + if splices > 0 { per_splice } else { 0.0 }
-        } else {
-            self.horse_merge_base_ns + splices as f64 * per_splice
-        }
+        self.horse_merge_base_ns
+            + splices as f64 * self.splice_thread_ns
+            + if splices > 0 { per_splice } else { 0.0 }
     }
 
-    /// Cost of a vanilla step ⑤: `n` lock-protected updates.
-    pub fn vanilla_load_ns(&self, locks: u64, updates: u64) -> f64 {
-        self.load_base_ns + locks as f64 * self.lock_acq_ns + updates as f64 * self.load_upd_ns
+    /// Cost of the pause's `BuildMergeList` step: the kernel's sorted
+    /// insert of `n` ascending keys, each scanning the list built so far
+    /// — `n` allocations, `n(n − 1)/2` comparisons, and 2 pointer writes
+    /// for the first node and 3 for each later one.
+    pub fn build_merge_list_ns(&self, vcpus: u64) -> f64 {
+        let comparisons = vcpus * vcpus.saturating_sub(1) / 2;
+        let pointer_writes = (3 * vcpus).saturating_sub(1);
+        vcpus as f64 * self.alloc_ns
+            + comparisons as f64 * self.cmp_ns
+            + pointer_writes as f64 * self.ptr_write_ns
+    }
+
+    /// Cost of a vanilla step ⑤: one lock-protected update per vCPU.
+    pub fn vanilla_load_ns(&self, vcpus: u64) -> f64 {
+        self.load_base_ns + vcpus as f64 * self.lock_acq_ns + vcpus as f64 * self.load_upd_ns
     }
 
     /// Cost of the coalesced step ⑤: one lock, one multiply-add.
@@ -206,7 +214,7 @@ mod tests {
     fn horse_merge_is_flat_in_splice_mode() {
         let m = CostModel::calibrated();
         // Even 36 splices cost well under the vanilla loop.
-        let horse = m.horse_merge_ns(4, true);
+        let horse = m.horse_merge_ns(4);
         let vanilla = m.vanilla_merge_ns(ArenaStats {
             comparisons: 630,
             pointer_writes: 72,
@@ -214,15 +222,14 @@ mod tests {
             frees: 0,
         });
         assert!(horse * 5.0 < vanilla);
-        // Sequential splices cost more than parallel kickoff for many
-        // splices is comparable; zero splices ≈ base.
-        assert!((m.horse_merge_ns(0, true) - m.horse_merge_base_ns).abs() < 1e-9);
+        // Zero splices ≈ base.
+        assert!((m.horse_merge_ns(0) - m.horse_merge_base_ns).abs() < 1e-9);
     }
 
     #[test]
     fn coalesced_load_beats_per_vcpu() {
         let m = CostModel::calibrated();
-        let vanilla = m.vanilla_load_ns(36, 36);
+        let vanilla = m.vanilla_load_ns(36);
         let horse = m.horse_load_ns();
         assert!(horse < vanilla / 5.0);
     }
@@ -241,7 +248,7 @@ mod tests {
                 allocs: n,
                 frees: 0,
             });
-            let load = m.vanilla_load_ns(n, n);
+            let load = m.vanilla_load_ns(n);
             m.fixed_steps_ns() + merge + load
         };
         let one = resume(1);

@@ -16,8 +16,8 @@
 //!
 //! Steps ④ (sorted merge) and ⑤ (load update) are executed for real on
 //! the scheduler's data structures; their durations come from the
-//! deterministic [`CostModel`] applied to the operation counts the
-//! execution actually generated.
+//! deterministic [`CostModel`] applied to each step's inputs (see its
+//! module docs).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -28,8 +28,7 @@
 //!    `catch_unwind`, and stamp the elapsed time;
 //! 5. `park` until the countdown reads 0 (`Acquire`) — **always**, even
 //!    if step 4 panicked;
-//! 6. book every block's pointer writes on the arena's counters, then
-//!    re-raise one panic if any block panicked.
+//! 6. re-raise one panic if any block panicked.
 //!
 //! Thread side: `park` until the generation word differs from the last
 //! one served (`Acquire`), execute the block, stamp the elapsed time,
@@ -105,10 +104,10 @@
 //!   `bench_suite --wall-clock-resume` gates.
 //!
 //! Virtual-axis accounting never touches this module: the cost model
-//! charges `horse_merge_ns(splices, parallel)` from the *plan's* splice
-//! count, the merge report comes from `finish_staged` in every execution
-//! strategy, and the arena's counters follow one rule — threads write
-//! through a [`LinkTable`], the joiner counts — so enabling the pool
+//! charges `horse_merge_ns(splices)` from the *plan's* splice count, the
+//! merge report comes from `finish_staged` in every execution strategy,
+//! and no block's writes are counted on the arena — every block, block 0
+//! included, splices through the [`LinkTable`] — so enabling the pool
 //! cannot move a single `*_ns` leaf.
 //!
 //! [`MergePlan::stage`]: horse_core::MergePlan::stage
@@ -368,7 +367,7 @@ impl SplicePool {
         self.stats.merges += 1;
         let run = if self.is_inline() {
             let block = staged.block(0, 1);
-            block.execute(arena);
+            block.execute_on(arena.links());
             emulate_wakes(
                 (0..block.len()).map(|i| block.sub_len(i)),
                 wake_nanos_per_vcpu,
@@ -418,7 +417,6 @@ impl SplicePool {
             while shared.remaining.load(Ordering::Acquire) != 0 {
                 thread::park();
             }
-            arena.count_pointer_writes(2 * staged.node_splice_count() as u64);
             let (Ok(own_nanos), false) = (own, shared.panicked.swap(false, Ordering::Relaxed))
             else {
                 panic!("a splice worker thread panicked");

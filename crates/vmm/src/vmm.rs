@@ -28,9 +28,7 @@ use crate::resume::{ResumeBreakdown, ResumeMode, ResumeStep};
 use crate::sandbox::{PausePolicy, PausedState, Sandbox, SandboxState, VcpuPlacement};
 use crate::snapshot::{RestoreModel, SandboxSnapshot};
 use crate::splice_pool::{SplicePool, SplicePoolStats};
-use horse_core::{
-    MergeReport, PlanBuffers, PlanCorruption, SortedList, SpliceMode, StalePlanError,
-};
+use horse_core::{MergeReport, PlanBuffers, PlanCorruption, SortedList, StalePlanError};
 use horse_faults::{FaultId, FaultInjector, FaultSite, RecoveryOutcome};
 use horse_sched::{
     HostScheduler, RqId, RqKind, SandboxId, SchedConfig, SpliceWatchdog, Vcpu, VcpuId,
@@ -673,21 +671,17 @@ impl Vmm {
             // The plan must be built against what its future peers'
             // plans describe, not against another sandbox's transit.
             self.settle(rq);
-            let before = self.sched.arena_stats();
             // `saved` is sorted: appending at the tail builds the list a
-            // sorted insert per vCPU would, and books the same counts.
+            // sorted insert per vCPU would. The step is priced as those
+            // inserts, in closed form.
             let mut merge_vcpus = SortedList::new();
             for &(credit, vcpu) in &saved {
                 merge_vcpus.push_back(self.sched.arena_mut(), credit, vcpu);
             }
             self.pause_walk_steps += u64::from(n);
-            let ops = self.sched.arena_stats() - before;
             breakdown.set(
                 PauseStep::BuildMergeList,
-                (ops.allocs as f64 * self.cost.alloc_ns
-                    + ops.comparisons as f64 * self.cost.cmp_ns
-                    + ops.pointer_writes as f64 * self.cost.ptr_write_ns)
-                    .round() as u64,
+                self.cost.build_merge_list_ns(u64::from(n)).round() as u64,
             );
             // Plan buffers recycle from earlier merges/teardowns; the
             // merge-list nodes themselves reuse the arena slots the
@@ -828,7 +822,9 @@ impl Vmm {
     ///
     /// The data-structure work of steps ④ and ⑤ is **executed for real**
     /// on the scheduler substrate; the step durations are the cost model
-    /// applied to the operations counted during execution.
+    /// applied to each step's inputs, or to the operations counted where
+    /// the code runs the kernel's own algorithm (the vanilla inserts, the
+    /// fallback merge walk).
     ///
     /// # Errors
     ///
@@ -959,8 +955,8 @@ impl Vmm {
 
             // Step-④ safety net: *always* verify the plan against its
             // queue before splicing — a corrupted plan must never reach
-            // `ull_merge`. On the clean path the walk is folded into the
-            // step-③ sanity budget; a failed check falls back to the
+            // the splice pool. On the clean path the walk is folded into
+            // the step-③ sanity budget; a failed check falls back to the
             // vanilla sorted merge of the plan's reconstructed A.
             let verified = plan
                 .check_consistent(self.sched.arena(), self.sched.queue_list(rq))
@@ -971,18 +967,15 @@ impl Vmm {
                     "corrupted plans must fail verification"
                 );
                 // Chaos: straggling or dead splice threads. The watchdog
-                // reclaims their splice points and completes them
-                // sequentially via a chunked splice (order-equivalent —
-                // splices are disjoint); only the latency differs.
+                // reclaims their splice points and the rest of the merge
+                // completes them: the same disjoint splices on the same
+                // pool, so only the latency differs.
                 let straggler = self.injector.should_inject(FaultSite::SpliceStraggler);
                 let death = self.injector.should_inject(FaultSite::SpliceThreadDeath);
                 let lost = usize::from(straggler.is_some()) + usize::from(death.is_some());
                 let mut rescue_penalty = 0u64;
-                let (report, bufs) = if lost > 0 {
+                if lost > 0 {
                     let rescue = self.watchdog.plan_rescue(splices, lost);
-                    let splice_mode = SpliceMode::ParallelChunked {
-                        threads: rescue.healthy_threads,
-                    };
                     // Rescued splices re-run sequentially: one unlink plus
                     // one link per splice point, ptr-write bound.
                     let per_splice_ns = 2.0 * self.cost.ptr_write_ns;
@@ -1016,29 +1009,23 @@ impl Vmm {
                         0,
                         rescue.rescued_splices as u64,
                     );
-                    self.sched.ull_merge_recycling(rq, plan, splice_mode)?
-                } else {
-                    // Clean path: stage the splice and execute it on the
-                    // VMM's worker pool — its parked worker threads when
-                    // the pool is parallel, the calling thread by default.
-                    // `ull_finish_staged` emits the same telemetry and
-                    // report as `ull_merge_recycling`, so the two
-                    // execution strategies are indistinguishable on the
-                    // virtual axis.
-                    {
-                        let staged = plan.stage(self.sched.queue_list(rq))?;
-                        self.pool.run(
-                            self.sched.arena(),
-                            &staged,
-                            &self.watchdog,
-                            self.wake_emulation_nanos,
-                        );
-                    }
-                    self.sched.ull_finish_staged(rq, plan)
-                };
+                }
+                // Stage the splice and run it on the VMM's worker pool —
+                // parked threads when the pool is parallel, this thread by
+                // default — then apply the head splice here.
+                {
+                    let staged = plan.stage(self.sched.queue_list(rq))?;
+                    self.pool.run(
+                        self.sched.arena(),
+                        &staged,
+                        &self.watchdog,
+                        self.wake_emulation_nanos,
+                    );
+                }
+                let (report, bufs) = self.sched.ull_finish_staged(rq, plan);
                 self.scratch.plans.push(bufs);
                 merge_report = Some(report);
-                self.cost.horse_merge_ns(splices, true) + rescue_penalty as f64
+                self.cost.horse_merge_ns(splices) + rescue_penalty as f64
             } else {
                 // Degraded step ④: reconstruct A from the plan (exact —
                 // `into_list` ignores the corruptible metadata) and run
@@ -1051,7 +1038,7 @@ impl Vmm {
                 assert_eq!(merged as u32, n, "fallback must merge all of A");
                 let ops = self.sched.arena_stats() - before;
                 let vanilla_ns = self.cost.vanilla_merge_ns(ops);
-                let penalty = (vanilla_ns - self.cost.horse_merge_ns(splices, true))
+                let penalty = (vanilla_ns - self.cost.horse_merge_ns(splices))
                     .max(0.0)
                     .round() as u64;
                 degradation.plan_fallback = true;
@@ -1070,8 +1057,7 @@ impl Vmm {
             };
             // Bookkeeping (untimed): recover the node handles of this
             // sandbox's vCPUs from the queue for the next pause.
-            for (node, credit, vcpu) in self.sched.queue_list(rq).iter(self.sched.arena()) {
-                let _ = credit;
+            for (node, _, vcpu) in self.sched.queue_list(rq).iter(self.sched.arena()) {
                 if vcpu.sandbox == id {
                     placements.push(VcpuPlacement {
                         rq,
@@ -1149,7 +1135,7 @@ impl Vmm {
                 self.cost.horse_load_ns()
             } else {
                 self.sched.load_update_per_vcpu(rq, n);
-                let vanilla_ns = self.cost.vanilla_load_ns(u64::from(n), u64::from(n));
+                let vanilla_ns = self.cost.vanilla_load_ns(u64::from(n));
                 let penalty = (vanilla_ns - self.cost.horse_load_ns()).max(0.0).round() as u64;
                 degradation.coalesce_bypassed = true;
                 degradation.penalty_ns += penalty;
@@ -1187,7 +1173,7 @@ impl Vmm {
             }
             per_rq.clear();
             self.scratch.per_rq = per_rq;
-            self.cost.vanilla_load_ns(u64::from(n), u64::from(n))
+            self.cost.vanilla_load_ns(u64::from(n))
         };
         let load_dur = load_ns.round() as u64;
         breakdown.set(ResumeStep::LoadUpdate, load_dur);

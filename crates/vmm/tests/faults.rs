@@ -6,7 +6,9 @@
 use horse_faults::{FaultInjector, FaultPlan, FaultSite, FaultTrigger, RecoveryOutcome};
 use horse_sched::{GovernorPolicy, RqId, SchedConfig};
 use horse_telemetry::{Counter, Recorder};
-use horse_vmm::{CostModel, PausePolicy, ResumeMode, SandboxConfig, SandboxState, Vmm, VmmError};
+use horse_vmm::{
+    CostModel, PausePolicy, ResumeMode, SandboxConfig, SandboxState, SplicePool, Vmm, VmmError,
+};
 
 fn small_vmm() -> Vmm {
     Vmm::new(
@@ -150,6 +152,40 @@ fn straggler_is_rescued_by_the_watchdog() {
         slow.0.injector().log()[0].outcome,
         RecoveryOutcome::StragglerRescued { rescued_splices } if rescued_splices > 0
     ));
+}
+
+/// A rescued resume runs on the VMM's splice pool like a clean one: a
+/// background sandbox on even credits and the resumed one on odd credits
+/// give one splice point per vCPU, split across the pool's workers.
+fn rescue_on(pool: SplicePool, site: FaultSite) -> (Vmm, horse_vmm::ResumeOutcome, RqId) {
+    let mut vmm = small_vmm();
+    vmm.set_splice_pool(pool);
+    vmm.set_injector(FaultInjector::new(
+        5,
+        FaultPlan::new().with(site, FaultTrigger::Once(1)),
+    ));
+    let background = vmm.create(ull_config(4));
+    vmm.start_with_credits(background, &[2, 4, 6, 8]).unwrap();
+    let id = vmm.create(ull_config(4));
+    vmm.start_with_credits(id, &[1, 3, 5, 7]).unwrap();
+    let rq = vmm.pause(id, PausePolicy::horse()).unwrap().ull_rq.unwrap();
+    let outcome = vmm.resume(id, ResumeMode::Horse).unwrap();
+    (vmm, outcome, rq)
+}
+
+#[test]
+fn a_rescue_on_the_parallel_pool_matches_the_inline_pool() {
+    for site in [FaultSite::SpliceStraggler, FaultSite::SpliceThreadDeath] {
+        let (inline, inline_outcome, rq) = rescue_on(SplicePool::inline(), site);
+        let (pooled, pooled_outcome, _) = rescue_on(SplicePool::parallel(2), site);
+        assert!(pooled_outcome.degradation.straggler_rescued_splices > 0);
+        // Same breakdown, `MergeReport`, rescued splices and penalty.
+        assert_eq!(pooled_outcome, inline_outcome, "{site:?}");
+        assert_eq!(queue_contents(&pooled, rq), queue_contents(&inline, rq));
+        assert_eq!(pooled.splice_pool_stats().parallel_merges, 1, "{site:?}");
+        assert_eq!(inline.splice_pool_stats().parallel_merges, 0, "{site:?}");
+        assert_invariants(&pooled);
+    }
 }
 
 #[test]

@@ -4,11 +4,13 @@
 //! predecessor and scan the merge list per insert. Checked here:
 //!
 //! * the one-walk dequeue ≡ one `dequeue_vcpu` per node — same surviving
-//!   queues, same `(credit, vcpu)` multiset, same `ArenaStats`;
+//!   queues, same `(credit, vcpu)` multiset;
 //! * the virtual axis still prices the kernel's sorted insert: the
-//!   `BuildMergeList` step equals its closed form in the vCPU count;
+//!   `BuildMergeList` step equals a reference execution of those inserts,
+//!   priced from its counters, and `CostModel::build_merge_list_ns`;
 //! * a pause steps over at most `n + q` list nodes, counted — not timed.
 
+use horse_core::{Arena, SortedList};
 use horse_sched::{
     CpuTopology, GovernorPolicy, HostScheduler, RqId, SandboxId, SchedConfig, SchedFlavor, Vcpu,
     VcpuId,
@@ -64,7 +66,6 @@ proptest! {
                     (rq, owner, sched.enqueue_vcpu(rq, credit, vcpu))
                 })
                 .collect();
-            sched.take_arena_stats();
             (sched, nodes)
         };
         let target_id = SandboxId::new(target);
@@ -97,8 +98,40 @@ proptest! {
         taken.sort_unstable_by_key(key);
         removed.sort_unstable_by_key(key);
         prop_assert_eq!(taken, removed);
-        prop_assert_eq!(walked.take_arena_stats(), looped.take_arena_stats());
         prop_assert!(steps <= queued, "{} steps over {} queued nodes", steps, queued);
+    }
+
+    /// 1–160 vCPUs on ascending credits, dense enough to collide: FIFO
+    /// ties must not change the count either.
+    #[test]
+    fn the_virtual_axis_still_prices_the_sorted_insert(
+        mut credits in proptest::collection::vec(0i64..40, 1..161),
+    ) {
+        credits.sort_unstable();
+        let cost = CostModel::calibrated();
+        let vcpus = credits.len() as u32;
+        let mut vmm = Vmm::new(sched_config(), cost);
+        let rq = vmm.sched().ull_queues()[0];
+        let id = vmm.create(config(vcpus, true));
+        vmm.start_with_credits(id, &credits).unwrap();
+        for cycle in 0..2 {
+            // The pause's save-buffer, sorted as the pause sorts it.
+            let sched = vmm.sched();
+            let mut saved: Vec<(i64, Vcpu)> = sched
+                .queue_list(rq)
+                .iter(sched.arena())
+                .map(|(_, credit, vcpu)| (credit, *vcpu))
+                .collect();
+            saved.sort_unstable_by_key(|(credit, vcpu)| (*credit, vcpu.id));
+            let reference = reference_build_merge_list_ns(&cost, &saved);
+
+            let report = vmm.pause(id, PausePolicy::horse()).unwrap();
+            let priced = report.breakdown.get(PauseStep::BuildMergeList);
+            let closed_form = cost.build_merge_list_ns(u64::from(vcpus)).round() as u64;
+            prop_assert_eq!(priced, reference, "vcpus={} cycle={}", vcpus, cycle);
+            prop_assert_eq!(closed_form, reference, "vcpus={}", vcpus);
+            vmm.resume(id, ResumeMode::Horse).unwrap();
+        }
     }
 }
 
@@ -115,35 +148,28 @@ fn a_vcpu_missing_from_its_queue_still_panics() {
     sched.dequeue_sandbox(rq, owner, 4, &mut Vec::new());
 }
 
-/// `BuildMergeList` as the sorted insert of `n` ascending keys counts it:
-/// `n` allocations, `0 + 1 + … + (n − 1)` comparisons, 2 pointer writes
-/// for the first node and 3 for each later one.
-fn build_merge_list_ns(cost: &CostModel, n: u64) -> u64 {
-    (n as f64 * cost.alloc_ns
-        + (n * (n - 1) / 2) as f64 * cost.cmp_ns
-        + (3 * n - 1) as f64 * cost.ptr_write_ns)
+/// `BuildMergeList` by reference execution: the kernel's sorted insert of
+/// the pause's ascending `(credit, vcpu)` pairs, run on a scratch arena
+/// and priced from its counters (allocations, then comparisons, then
+/// pointer writes, rounded once).
+fn reference_build_merge_list_ns(cost: &CostModel, saved: &[(i64, Vcpu)]) -> u64 {
+    let mut arena = Arena::new();
+    let mut list = SortedList::new();
+    for &(credit, vcpu) in saved {
+        list.insert_sorted(&mut arena, credit, vcpu);
+    }
+    let ops = arena.take_stats();
+    (ops.allocs as f64 * cost.alloc_ns
+        + ops.comparisons as f64 * cost.cmp_ns
+        + ops.pointer_writes as f64 * cost.ptr_write_ns)
         .round() as u64
 }
 
 #[test]
-fn the_virtual_axis_still_prices_the_sorted_insert() {
+fn an_empty_merge_list_costs_nothing() {
     let cost = CostModel::calibrated();
-    for vcpus in [1u32, 2, 8, 36, 144] {
-        let mut vmm = Vmm::new(sched_config(), cost);
-        let id = vmm.create(config(vcpus, true));
-        // Colliding credits: FIFO ties must not change the count either.
-        let credits: Vec<i64> = (0..i64::from(vcpus)).map(|i| i / 3).collect();
-        vmm.start_with_credits(id, &credits).unwrap();
-        for cycle in 0..3 {
-            let report = vmm.pause(id, PausePolicy::horse()).unwrap();
-            assert_eq!(
-                report.breakdown.get(PauseStep::BuildMergeList),
-                build_merge_list_ns(&cost, u64::from(vcpus)),
-                "vcpus={vcpus} cycle={cycle}"
-            );
-            vmm.resume(id, ResumeMode::Horse).unwrap();
-        }
-    }
+    assert_eq!(reference_build_merge_list_ns(&cost, &[]), 0);
+    assert_eq!(cost.build_merge_list_ns(0).round() as u64, 0);
 }
 
 #[test]

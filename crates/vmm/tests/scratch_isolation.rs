@@ -18,7 +18,6 @@
 //! Everything lives in a single `#[test]` because the profiling plane's
 //! counters are process-global.
 
-use horse_core::SpliceMode;
 use horse_telemetry::{alloc, profiling};
 use horse_vmm::{PausePolicy, ResumeMode, SandboxConfig, SplicePool, Vmm};
 
@@ -80,9 +79,6 @@ fn run_cycles(vmm: &mut Vmm, id: horse_sched::SandboxId, cycles: usize) {
 
 #[test]
 fn concurrent_hosts_never_alias_recycled_buffers() {
-    // `SpliceMode` is re-exported through horse-core for the fault path;
-    // referencing it here pins the public surface this test relies on.
-    let _ = SpliceMode::Parallel;
     profiling::set_enabled(true);
 
     // Baseline: one host cycling alone. Warm-up happens inside
