@@ -786,9 +786,9 @@ fn throughput_run(
 }
 
 /// Wall-clock cost of `Histogram::record`, measured in-process over a
-/// deterministic latency-shaped value stream (same stream as the
-/// `histogram` criterion bench). Reported per `crates/metrics`'s
-/// `#[inline]` documentation.
+/// deterministic latency-shaped (xorshift) value stream. Reported per
+/// `crates/metrics`'s `#[inline]` documentation; `benchmark/` measures
+/// the same call as `metrics.histogram_record_ns`.
 fn histogram_record_cost_ns() -> f64 {
     const N: usize = 1_000_000;
     let mut x = 0x9e3779b97f4a7c15u64;

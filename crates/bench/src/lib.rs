@@ -1,10 +1,10 @@
 //! # horse-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index), plus criterion micro-benchmarks. This library holds the shared
-//! measurement helpers so every binary reports with the paper's
-//! methodology: 10 repetitions, 95 % confidence intervals, and
-//! paper-vs-measured columns.
+//! index); per-layer wall-clock costs live in the separate `benchmark/`
+//! package. This library holds the shared measurement helpers so every
+//! binary reports with the paper's methodology: 10 repetitions, 95 %
+//! confidence intervals, and paper-vs-measured columns.
 //!
 //! | Artifact | Binary |
 //! |----------|--------|

@@ -101,12 +101,7 @@ pub fn merge_oracle_case(seed: u64, case: u64, mutation: Option<Mutation>) -> Re
     // Spec prediction starts from B exactly as the merge will see it.
     let oracle_b_items = contents(&fast_arena, &fast_b);
 
-    let mode = if rng.gen::<bool>() {
-        SpliceMode::Parallel
-    } else {
-        SpliceMode::Sequential
-    };
-    match plan.merge(&fast_arena, &mut fast_b, mode) {
+    match plan.merge(&fast_arena, &mut fast_b, SpliceMode::Sequential) {
         Ok(report) => {
             if report.merged != a_items.len() {
                 return Err(format!(

@@ -7,8 +7,10 @@
 //!    merge a sorted linked list into another in O(1) at the critical
 //!    moment, by precomputing the positional index of the destination
 //!    (`arrayB`) and the splice table of the source (`posA`) off the
-//!    critical path, then executing two pointer writes per splice point —
-//!    in parallel, with no mutual exclusion.
+//!    critical path, then executing two pointer writes per splice point
+//!    with no mutual exclusion — on the calling thread
+//!    ([`MergePlan::merge`]) or on a caller-owned worker pool
+//!    ([`MergePlan::stage`]).
 //! 2. **Load-update coalescing** ([`LoadUpdate::coalesce`]): replace *n*
 //!    sequential applications of the affine load update `L(x)=αx+β` with a
 //!    single precomputed multiply-add `αⁿx + β(1−αⁿ)/(1−α)`.
@@ -39,7 +41,7 @@
 //! let load = LoadUpdate::new(0.9785, 16.0)?.coalesce(2);
 //!
 //! // Resume time: O(1) splice + single load update.
-//! let report = plan.merge(&arena, &mut runqueue, SpliceMode::Parallel)?;
+//! let report = plan.merge(&arena, &mut runqueue, SpliceMode::Sequential)?;
 //! assert_eq!(report.merged, 2);
 //! assert_eq!(runqueue.keys(&arena), vec![100, 200, 300, 400, 500]);
 //! let new_load = load.apply(1000.0);

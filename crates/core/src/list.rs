@@ -318,8 +318,8 @@ impl SortedList {
     /// 𝒫²𝒮ℳ (O(1)); the hypervisors the paper patches use per-element
     /// insertion because vCPUs normally arrive one at a time, but the
     /// walk is the natural "smarter software" counter-proposal 𝒫²𝒮ℳ must
-    /// also beat (see `benches/p2sm.rs`). Equal keys keep `self`'s
-    /// elements first (FIFO).
+    /// also beat. It is also the resume path's fallback when a plan fails
+    /// verification. Equal keys keep `self`'s elements first (FIFO).
     pub fn merge_walk<T>(&mut self, arena: &Arena<T>, other: SortedList) {
         let mut result_head: Option<NodeRef> = None;
         let mut result_tail: Option<NodeRef> = None;

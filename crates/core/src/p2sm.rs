@@ -10,13 +10,16 @@
 //! * `posA` (the [`MergePlan`]'s splice table): maps a position in *B* to
 //!   the sub-list of *A* that must be spliced right after it.
 //!
-//! At resume time ([`MergePlan::merge`], the paper's Algorithm 1) each
-//! splice is two pointer writes, one thread per splice point, with **no
-//! mutual exclusion** — the splice points are disjoint nodes, which the
-//! arena guarantees race-freedom for via atomic next pointers. Whatever
-//! thread executes them, node splices are written through the arena's
-//! [`LinkTable`], uncounted: the cost model prices the merge from the
-//! plan's splice count, and the [`MergeReport`] says what was written.
+//! At resume time (the paper's Algorithm 1) each splice is two pointer
+//! writes with **no mutual exclusion** — the splice points are disjoint
+//! nodes, which the arena guarantees race-freedom for via atomic next
+//! pointers. The paper runs one splice point per pre-existing kernel
+//! thread; here a caller-owned worker pool executes the blocks of a
+//! staged merge ([`MergePlan::stage`]), and [`MergePlan::merge`] runs the
+//! same protocol on the calling thread. Whatever thread executes them,
+//! node splices are written through the arena's [`LinkTable`],
+//! uncounted: the cost model prices the merge from the plan's splice
+//! count, and the [`MergeReport`] says what was written.
 //!
 //! The plan also supports the incremental maintenance the paper describes
 //! in §4.1.1 and §4.1.3: whenever the `ull_runqueue` or the paused
@@ -49,34 +52,25 @@ struct Splice {
     sub: SubList,
 }
 
-/// How [`MergePlan::merge`] executes its splices.
+/// How [`MergePlan::merge`] executes its splices: on the calling thread,
+/// the only way it does.
+///
+/// The type and the `mode` parameters that take it remain only because
+/// the wall-clock benchmark package passes `SpliceMode::Sequential` to
+/// [`MergePlan::merge_recycling`] and `HostScheduler::ull_merge_recycling`;
+/// both go with the next change to that package. Parallel execution is
+/// [`MergePlan::stage`] on a caller-owned worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpliceMode {
-    /// One scoped thread per splice point — the paper's Algorithm 1.
-    /// In the paper's in-kernel setting these are pre-existing,
-    /// highest-priority workers; in userspace each is an OS thread spawned
-    /// per merge. The resume path runs its splices on a persistent worker
-    /// pool over [`MergePlan::stage`] instead, never through this mode.
+    /// All splices on the calling thread.
     #[default]
-    Parallel,
-    /// A bounded number of scoped threads, each splicing a contiguous
-    /// chunk of the splice points (disjointness is preserved — chunks
-    /// never share a node). Amortizes thread dispatch the way the
-    /// kernel's persistent merge workers do.
-    ParallelChunked {
-        /// Number of worker threads (clamped to the splice count; 0 is
-        /// treated as 1).
-        threads: usize,
-    },
-    /// All splices on the calling thread (ablation baseline; identical
-    /// result, used to isolate the benefit of parallelism).
     Sequential,
 }
 
 /// Outcome statistics of a merge, used by the cost model and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MergeReport {
-    /// Number of splice points (== threads used in parallel mode).
+    /// Number of splice points (the paper's merge threads, one each).
     pub splices: usize,
     /// Number of elements of *A* merged.
     pub merged: usize,
@@ -194,7 +188,7 @@ impl PlanBuffers {
 /// for k in [20, 40, 60] { a.insert_sorted(&mut arena, k, k); }
 ///
 /// let plan = MergePlan::precompute(&arena, &b, a);
-/// let report = plan.merge(&arena, &mut b, SpliceMode::Parallel).unwrap();
+/// let report = plan.merge(&arena, &mut b, SpliceMode::Sequential).unwrap();
 /// assert_eq!(report.merged, 3);
 /// assert_eq!(b.keys(&arena), vec![10, 20, 30, 40, 50, 60]);
 /// ```
@@ -274,7 +268,7 @@ impl MergePlan {
         self.a_len
     }
 
-    /// Number of splice points (threads the merge will use).
+    /// Number of splice points (the merge's parallelism in the paper).
     pub fn splice_count(&self) -> usize {
         self.splices.len()
     }
@@ -300,13 +294,13 @@ impl MergePlan {
             + std::mem::size_of::<Self>()
     }
 
-    /// Executes the merge (the paper's Algorithm 1), consuming the plan.
-    /// On success *B* contains all elements of both lists, sorted, and the
-    /// report describes the work done.
+    /// Executes the merge (the paper's Algorithm 1) on the calling
+    /// thread, consuming the plan. On success *B* contains all elements of
+    /// both lists, sorted, and the report describes the work done.
     ///
     /// Complexity: O(1) with respect to |A| and |B| — two pointer writes
-    /// per splice point, at most |splices| ≤ |A| of them, executed
-    /// concurrently in [`SpliceMode::Parallel`].
+    /// per splice point, at most |splices| ≤ |A| of them. To execute the
+    /// splices concurrently, drive [`Self::stage`] from a worker pool.
     ///
     /// # Errors
     ///
@@ -331,38 +325,9 @@ impl MergePlan {
         self,
         arena: &Arena<T>,
         b: &mut SortedList,
-        mode: SpliceMode,
+        _mode: SpliceMode,
     ) -> Result<(MergeReport, PlanBuffers), StalePlanError> {
-        {
-            let staged = self.stage(b)?;
-            let n = staged.node_splice_count();
-            let links = arena.links();
-            match mode {
-                SpliceMode::Sequential => staged.block(0, 1).execute_on(links),
-                SpliceMode::Parallel => {
-                    crossbeam::scope(|scope| {
-                        for w in 0..n {
-                            let block = staged.block(w, n);
-                            scope.spawn(move |_| block.execute_on(links));
-                        }
-                    })
-                    .expect("merge splice thread panicked");
-                }
-                SpliceMode::ParallelChunked { threads } => {
-                    let threads = threads.max(1).min(n.max(1));
-                    crossbeam::scope(|scope| {
-                        for w in 0..threads {
-                            let block = staged.block(w, threads);
-                            if block.is_empty() {
-                                continue;
-                            }
-                            scope.spawn(move |_| block.execute_on(links));
-                        }
-                    })
-                    .expect("merge splice thread panicked");
-                }
-            }
-        }
+        self.stage(b)?.block(0, 1).execute_on(arena.links());
         Ok(self.finish_staged(arena, b))
     }
 
@@ -381,8 +346,8 @@ impl MergePlan {
     /// 4. `plan.finish_staged(&arena, &mut b)` applies the head splice
     ///    and handle fixes on the calling thread.
     ///
-    /// [`Self::merge_recycling`] is exactly this protocol run on scoped
-    /// threads it spawns itself, so both paths produce byte-identical
+    /// [`Self::merge_recycling`] is exactly this protocol run as one
+    /// block on the calling thread, so both paths produce byte-identical
     /// reports and arena traffic.
     ///
     /// # Errors
@@ -1065,13 +1030,13 @@ mod tests {
         l
     }
 
-    fn merged_keys(b_keys: &[i64], a_keys: &[i64], mode: SpliceMode) -> Vec<i64> {
+    fn merged_keys(b_keys: &[i64], a_keys: &[i64]) -> Vec<i64> {
         let mut arena = Arena::new();
         let mut b = build(&mut arena, b_keys);
         let a = build(&mut arena, a_keys);
         let plan = MergePlan::precompute(&arena, &b, a);
         plan.check_consistent(&arena, &b).unwrap();
-        let report = plan.merge(&arena, &mut b, mode).unwrap();
+        let report = plan.merge(&arena, &mut b, SpliceMode::Sequential).unwrap();
         assert_eq!(report.merged, a_keys.len());
         b.check_invariants(&arena).unwrap();
         b.keys(&arena)
@@ -1148,34 +1113,29 @@ mod tests {
 
     #[test]
     fn interleaved_merge() {
-        for mode in [SpliceMode::Sequential, SpliceMode::Parallel] {
-            let b = [10, 30, 50];
-            let a = [5, 20, 40, 60];
-            assert_eq!(merged_keys(&b, &a, mode), expected(&b, &a));
-        }
+        let b = [10, 30, 50];
+        let a = [5, 20, 40, 60];
+        assert_eq!(merged_keys(&b, &a), expected(&b, &a));
     }
 
     #[test]
     fn merge_into_empty_b() {
         let b: [i64; 0] = [];
         let a = [3, 1, 2];
-        assert_eq!(merged_keys(&b, &a, SpliceMode::Parallel), expected(&b, &a));
+        assert_eq!(merged_keys(&b, &a), expected(&b, &a));
     }
 
     #[test]
     fn merge_empty_a_is_noop() {
         let b = [1, 2, 3];
         let a: [i64; 0] = [];
-        assert_eq!(
-            merged_keys(&b, &a, SpliceMode::Sequential),
-            expected(&b, &a)
-        );
+        assert_eq!(merged_keys(&b, &a), expected(&b, &a));
     }
 
     #[test]
     fn all_before_head() {
         assert_eq!(
-            merged_keys(&[100, 200], &[1, 2, 3], SpliceMode::Parallel),
+            merged_keys(&[100, 200], &[1, 2, 3]),
             vec![1, 2, 3, 100, 200]
         );
     }
@@ -1186,7 +1146,7 @@ mod tests {
         let mut b = build(&mut arena, &[1, 2]);
         let a = build(&mut arena, &[10, 20]);
         let plan = MergePlan::precompute(&arena, &b, a);
-        plan.merge(&arena, &mut b, SpliceMode::Parallel).unwrap();
+        plan.merge(&arena, &mut b, SpliceMode::Sequential).unwrap();
         b.check_invariants(&arena).unwrap();
         assert_eq!(arena.key(b.tail().unwrap()), 20);
         // The list must remain usable: insert after the merge.
@@ -1196,10 +1156,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_merge_after_equals() {
-        assert_eq!(
-            merged_keys(&[5, 5, 10], &[5, 10], SpliceMode::Sequential),
-            vec![5, 5, 5, 10, 10]
-        );
+        assert_eq!(merged_keys(&[5, 5, 10], &[5, 10]), vec![5, 5, 5, 10, 10]);
     }
 
     #[test]
@@ -1242,7 +1199,7 @@ mod tests {
         b.pop_front(&mut arena);
         plan.on_b_pop_front(&arena, &b);
         plan.check_consistent(&arena, &b).unwrap();
-        plan.merge(&arena, &mut b, SpliceMode::Parallel).unwrap();
+        plan.merge(&arena, &mut b, SpliceMode::Sequential).unwrap();
         b.check_invariants(&arena).unwrap();
         assert_eq!(b.keys(&arena), vec![5, 15, 20, 25, 30, 35]);
     }
@@ -1274,7 +1231,7 @@ mod tests {
         plan.on_b_push_back(&arena, &b, node);
         plan.check_consistent(&arena, &b).unwrap();
         assert_eq!(plan.splice_count(), 2);
-        plan.merge(&arena, &mut b, SpliceMode::Parallel).unwrap();
+        plan.merge(&arena, &mut b, SpliceMode::Sequential).unwrap();
         assert_eq!(b.keys(&arena), vec![10, 15, 25, 30, 35]);
     }
 
@@ -1303,7 +1260,7 @@ mod tests {
         plan.insert_a(&mut arena, 35, 35);
         plan.check_consistent(&arena, &b).unwrap();
         assert_eq!(plan.a_len(), 5);
-        plan.merge(&arena, &mut b, SpliceMode::Parallel).unwrap();
+        plan.merge(&arena, &mut b, SpliceMode::Sequential).unwrap();
         assert_eq!(b.keys(&arena), vec![5, 10, 15, 16, 17, 20, 30, 35]);
     }
 
@@ -1369,13 +1326,12 @@ mod tests {
                 let staged = plan.stage(&b).unwrap();
                 assert_eq!(staged.a_len(), 6);
                 let links = arena.links();
-                crossbeam::scope(|scope| {
+                std::thread::scope(|scope| {
                     for w in 0..workers {
                         let block = staged.block(w, workers);
-                        scope.spawn(move |_| block.execute_on(links));
+                        scope.spawn(move || block.execute_on(links));
                     }
-                })
-                .unwrap();
+                });
             }
             let (report, _bufs) = plan.finish_staged(&arena, &mut b);
             assert_eq!(report.splices, expected_splices);
@@ -1468,15 +1424,5 @@ mod tests {
         // which is exactly what the check-plane oracle must catch.
         assert_ne!(b.keys(&arena), expected(&[10, 30], &[20, 21, 22]));
         assert!(b.check_invariants(&arena).is_err());
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let b = [2, 4, 6, 8, 10, 12];
-        let a = [1, 3, 5, 7, 9, 11, 13];
-        assert_eq!(
-            merged_keys(&b, &a, SpliceMode::Parallel),
-            merged_keys(&b, &a, SpliceMode::Sequential)
-        );
     }
 }

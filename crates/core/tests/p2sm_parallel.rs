@@ -6,10 +6,10 @@
 //! every splice index exactly once.
 //!
 //! These are the concurrency-plane counterparts of `p2sm_properties.rs`:
-//! that file checks the splice *semantics* per [`SpliceMode`]; this one
-//! checks the worker-facing staging surface (`stage` → `block` →
-//! `execute_on` → `finish_staged`) that the VMM's `SplicePool` and the
-//! `splice_explore` check harness drive.
+//! that file checks the splice *semantics* of `MergePlan::merge` on the
+//! calling thread; this one checks the same protocol (`stage` → `block`
+//! → `execute_on` → `finish_staged`) split across real threads, the way
+//! the VMM's `SplicePool` and the `splice_explore` check harness drive it.
 
 use horse_core::{Arena, MergePlan, SortedList};
 use proptest::prelude::*;

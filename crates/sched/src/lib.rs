@@ -9,8 +9,8 @@
 //!   updates ([`RqLoad`], paper step ⑤) feeding a DVFS [`Governor`];
 //! * **reserved uLL run queues** with a 1 µs time slice, pause-time
 //!   assignment balancing, and 𝒫²𝒮ℳ merge entry points
-//!   ([`HostScheduler::ull_precompute`] / [`HostScheduler::ull_merge`] —
-//!   paper §4.1.3).
+//!   ([`HostScheduler::ull_precompute`] /
+//!   [`HostScheduler::ull_finish_staged`] — paper §4.1.3).
 //!
 //! The resume pipelines themselves (vanilla and HORSE) live one layer up
 //! in `horse-vmm`; this crate provides the mechanisms they are built from.

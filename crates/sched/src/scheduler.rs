@@ -357,26 +357,12 @@ impl HostScheduler {
         MergePlan::precompute_in(&self.arena, &self.queues[rq.0].list, merge_vcpus, buffers)
     }
 
-    /// Executes a 𝒫²𝒮ℳ merge into the given uLL queue (resume-time
-    /// splice, paper Algorithm 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StalePlanError`] if the plan no longer matches the
-    /// queue.
-    pub fn ull_merge(
-        &mut self,
-        rq: RqId,
-        plan: MergePlan,
-        mode: SpliceMode,
-    ) -> Result<MergeReport, StalePlanError> {
-        self.ull_merge_recycling(rq, plan, mode)
-            .map(|(report, _)| report)
-    }
-
-    /// [`Self::ull_merge`] that hands back the plan's buffers for reuse
-    /// in a future [`Self::ull_precompute_in`]. Telemetry and merge
-    /// semantics are identical to [`Self::ull_merge`].
+    /// Executes a 𝒫²𝒮ℳ merge into the given uLL queue on the calling
+    /// thread (resume-time splice, paper Algorithm 1), handing back the
+    /// plan's buffers for reuse in a future [`Self::ull_precompute_in`].
+    /// It is the staged protocol run as one block, finished by
+    /// [`Self::ull_finish_staged`]; `mode` has a single value (see
+    /// `SpliceMode`).
     ///
     /// # Errors
     ///
@@ -386,23 +372,20 @@ impl HostScheduler {
         &mut self,
         rq: RqId,
         plan: MergePlan,
-        mode: SpliceMode,
+        _mode: SpliceMode,
     ) -> Result<(MergeReport, PlanBuffers), StalePlanError> {
-        let q = &mut self.queues[rq.0];
-        let (report, buffers) = plan.merge_recycling(&self.arena, &mut q.list, mode)?;
-        self.recorder
-            .instant(EventKind::RunqueueMerge, 0, report.splices as u64);
-        self.recorder.count(Counter::Splices, report.splices as u64);
-        Ok((report, buffers))
+        plan.stage(&self.queues[rq.0].list)?
+            .block(0, 1)
+            .execute_on(self.arena.links());
+        Ok(self.ull_finish_staged(rq, plan))
     }
 
     /// Completes a staged 𝒫²𝒮ℳ merge (see `MergePlan::stage`) whose node
-    /// splices were already executed by a caller-owned worker pool: runs
-    /// `MergePlan::finish_staged` against the queue and emits exactly the
-    /// telemetry of [`Self::ull_merge_recycling`] — same
-    /// [`EventKind::RunqueueMerge`] instant, same `Counter::Splices`
-    /// increment — so the two paths are indistinguishable on the virtual
-    /// axis.
+    /// splices were already executed, by a caller-owned worker pool or by
+    /// [`Self::ull_merge_recycling`]: runs `MergePlan::finish_staged`
+    /// against the queue and emits the merge's telemetry, one
+    /// [`EventKind::RunqueueMerge`] instant and one `Counter::Splices`
+    /// increment.
     ///
     /// The caller must have obtained the staged view from this scheduler's
     /// queue (`MergePlan::stage(self.queue_list(rq))`) and joined every
@@ -664,7 +647,9 @@ mod tests {
         merge_vcpus.insert_sorted(s.arena_mut(), 200, vcpu(2));
         merge_vcpus.insert_sorted(s.arena_mut(), 400, vcpu(3));
         let plan = s.ull_precompute(rq, merge_vcpus);
-        let report = s.ull_merge(rq, plan, SpliceMode::Parallel).unwrap();
+        let (report, _) = s
+            .ull_merge_recycling(rq, plan, SpliceMode::Sequential)
+            .unwrap();
         assert_eq!(report.merged, 2);
         assert_eq!(s.queue_list(rq).keys(s.arena()), vec![100, 200, 300, 400]);
     }
@@ -814,7 +799,9 @@ mod tests {
         merge_vcpus.insert_sorted(s.arena_mut(), 200, vcpu(1));
         merge_vcpus.insert_sorted(s.arena_mut(), 300, vcpu(2));
         let plan = s.ull_precompute(rq, merge_vcpus);
-        let report = s.ull_merge(rq, plan, SpliceMode::Parallel).unwrap();
+        let (report, _) = s
+            .ull_merge_recycling(rq, plan, SpliceMode::Sequential)
+            .unwrap();
         s.load_update_coalesced(rq, s.tracker().coalesce(2));
         s.load_update_per_vcpu(rq, 3);
         let _ = s.target_pstate(rq);
@@ -849,7 +836,8 @@ mod tests {
         let mut merge_vcpus = SortedList::new();
         merge_vcpus.insert_sorted(s.arena_mut(), 200, vcpu(1));
         let plan = s.ull_precompute(rq, merge_vcpus);
-        s.ull_merge(rq, plan, SpliceMode::Parallel).unwrap();
+        s.ull_merge_recycling(rq, plan, SpliceMode::Sequential)
+            .unwrap();
         s.recorder()
             .set_context(TraceContext::root(inv).child(EventKind::ResumeLoadUpdate));
         s.load_update_coalesced(rq, s.tracker().coalesce(1));

@@ -1095,10 +1095,11 @@ impl Vmm {
         breakdown.set(ResumeStep::SortedMerge, merge_dur);
         self.recorder.set_now(merge_start + merge_dur);
         if let Some(report) = &merge_report {
-            // Synthesize the per-merge-thread view: in parallel splice
-            // mode every splice point is one thread's work, and the
-            // threads run concurrently across the step-④ window
-            // (tracks 1..=N; track 0 is the resume pipeline itself).
+            // Synthesize the paper's per-merge-thread view: one thread per
+            // splice point, all running concurrently across the step-④
+            // window (tracks 1..=N; track 0 is the resume pipeline
+            // itself). It shows the paper's model, not which pool worker
+            // executed each splice.
             self.recorder
                 .span_batch((0..report.splices).map(|thread| horse_telemetry::Event {
                     kind: EventKind::SpliceWork,

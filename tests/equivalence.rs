@@ -177,7 +177,9 @@ fn arena_stats_show_o1_vs_on_merge_work() {
     }
     let plan = sched.ull_precompute(rq, merge_vcpus);
     sched.take_arena_stats();
-    sched.ull_merge(rq, plan, SpliceMode::Parallel).unwrap();
+    sched
+        .ull_merge_recycling(rq, plan, SpliceMode::Sequential)
+        .unwrap();
     assert_eq!(
         sched.take_arena_stats().comparisons,
         0,
@@ -229,18 +231,14 @@ fn reference_merge(b: &[(i64, u64)], a: &[(i64, u64)]) -> Vec<(i64, u64)> {
 type Tagged = Vec<(i64, u64)>;
 
 /// Runs one splice-merge case and returns (fast, walk, reference).
-fn merge_three_ways(
-    b_credits: &[i64],
-    a_credits: &[i64],
-    mode: SpliceMode,
-) -> (Tagged, Tagged, Tagged) {
+fn merge_three_ways(b_credits: &[i64], a_credits: &[i64]) -> (Tagged, Tagged, Tagged) {
     let mut fast_arena = Arena::new();
     let mut fast_b = build_tagged(&mut fast_arena, b_credits, 0);
     let fast_a = build_tagged(&mut fast_arena, a_credits, 1_000_000);
     let b_seq = tagged_seq(&fast_arena, &fast_b);
     let a_seq = tagged_seq(&fast_arena, &fast_a);
     let plan = MergePlan::precompute(&fast_arena, &fast_b, fast_a);
-    plan.merge(&fast_arena, &mut fast_b, mode)
+    plan.merge(&fast_arena, &mut fast_b, SpliceMode::Sequential)
         .expect("plan is fresh");
     fast_b
         .check_invariants(&fast_arena)
@@ -272,10 +270,8 @@ proptest! {
     fn p2sm_merge_equals_both_references(
         b_credits in proptest::collection::vec(-20i64..20, 0..48),
         a_credits in proptest::collection::vec(-20i64..20, 0..40),
-        parallel in any::<bool>(),
     ) {
-        let mode = if parallel { SpliceMode::Parallel } else { SpliceMode::Sequential };
-        let (fast, walk, reference) = merge_three_ways(&b_credits, &a_credits, mode);
+        let (fast, walk, reference) = merge_three_ways(&b_credits, &a_credits);
         prop_assert_eq!(&fast, &reference, "splice merge diverges from stable reference");
         prop_assert_eq!(&fast, &walk, "splice merge diverges from merge_walk");
     }
@@ -288,13 +284,11 @@ proptest! {
         b_credits in proptest::collection::vec(0i64..10, 1..24),
         a_len in 1usize..24,
         before_head in any::<bool>(),
-        parallel in any::<bool>(),
     ) {
         let a_credits: Vec<i64> = (0..a_len)
             .map(|i| if before_head { -100 + i as i64 % 3 } else { 100 + i as i64 % 3 })
             .collect();
-        let mode = if parallel { SpliceMode::Parallel } else { SpliceMode::Sequential };
-        let (fast, walk, reference) = merge_three_ways(&b_credits, &a_credits, mode);
+        let (fast, walk, reference) = merge_three_ways(&b_credits, &a_credits);
         prop_assert_eq!(&fast, &reference);
         prop_assert_eq!(&fast, &walk);
     }
@@ -309,7 +303,7 @@ proptest! {
     ) {
         let b_credits = vec![credit; b_len];
         let a_credits = vec![credit; a_len];
-        let (fast, walk, reference) = merge_three_ways(&b_credits, &a_credits, SpliceMode::Parallel);
+        let (fast, walk, reference) = merge_three_ways(&b_credits, &a_credits);
         prop_assert_eq!(&fast, &reference);
         prop_assert_eq!(&fast, &walk);
         let tags: Vec<u64> = fast.iter().map(|&(_, t)| t).collect();
