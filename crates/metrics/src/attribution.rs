@@ -143,9 +143,9 @@ pub struct TailAttribution {
     /// Spans stamped with an invocation id that never emitted an
     /// invoke-phase span — zero in a correctly threaded pipeline.
     pub orphan_spans: u64,
-    /// Events the ring buffers overwrote before the drain: when
-    /// non-zero, every percentile below is computed from a lossy stream
-    /// and must be flagged as such.
+    /// Events the ring buffers lost in the snapshot's window (since the
+    /// previous drain): when non-zero, every percentile below is computed
+    /// from a lossy stream and must be flagged as such.
     pub dropped_events: u64,
 }
 
@@ -173,7 +173,7 @@ impl TailAttribution {
                 .push(event);
         }
         let mut out = TailAttribution {
-            dropped_events: snapshot.dropped,
+            dropped_events: snapshot.dropped_in_window,
             ..TailAttribution::default()
         };
         for (&id, events) in &by_invocation {
@@ -445,6 +445,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped,
+            dropped_in_window: dropped,
             dropped_by_shard: vec![dropped],
         }
     }

@@ -180,6 +180,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![0],
         };
         ForensicIndex::stitch(&snapshot).trees.remove(0)

@@ -215,7 +215,7 @@ impl TextExporter {
         );
         self.gauge(
             "horse_telemetry_lossy",
-            "1 when any writer shard lost events; snapshot percentiles are lower bounds.",
+            "1 when any writer shard lost events since the previous drain; snapshot percentiles are lower bounds.",
             u64::from(snap.is_lossy()),
         );
     }
@@ -529,6 +529,28 @@ mod tests {
         // One header pair per family, no duplicated TYPE lines.
         let lossy_types = text.matches("# TYPE horse_telemetry_lossy").count();
         assert_eq!(lossy_types, 1);
+    }
+
+    #[test]
+    fn lossy_gauge_flags_the_window_and_the_drop_counter_stays() {
+        let recorder = Recorder::new(TelemetryConfig {
+            shards: 1,
+            capacity_per_shard: 8,
+        });
+        let page_after = |events: u64| {
+            for _ in 0..events {
+                recorder.instant(horse_telemetry::EventKind::PoolHit, 0, 0);
+            }
+            let mut page = TextExporter::new();
+            page.snapshot(&recorder.drain());
+            page.finish()
+        };
+        let overflowed = page_after(20);
+        assert!(overflowed.contains("horse_telemetry_lossy 1\n"));
+        assert!(overflowed.contains("horse_dropped_events_total{shard=\"0\"} 12\n"));
+        let within = page_after(8);
+        assert!(within.contains("horse_telemetry_lossy 0\n"));
+        assert!(within.contains("horse_dropped_events_total{shard=\"0\"} 12\n"));
     }
 
     #[test]

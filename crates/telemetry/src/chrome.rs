@@ -133,6 +133,7 @@ mod tests {
             counters: vec![("resumes_horse", 1), ("splices", 3)],
             gauges: vec![("queued_vcpus", 12)],
             dropped: 3,
+            dropped_in_window: 3,
             dropped_by_shard: vec![0, 3, 0, 0],
         }
     }

@@ -63,6 +63,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![],
         };
         let text = render(&snapshot);
@@ -80,6 +81,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![],
         };
         assert!(render(&snapshot).is_empty());

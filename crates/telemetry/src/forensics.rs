@@ -341,8 +341,8 @@ pub struct ForensicIndex {
     /// Events with invocation id 0 (provisioning and other
     /// out-of-invocation work), excluded from stitching.
     pub untraced_events: u64,
-    /// Ring-buffer drops in the source snapshot: a lossy stream cannot
-    /// promise complete trees.
+    /// Ring-buffer drops in the source snapshot's window: a lossy stream
+    /// cannot promise complete trees.
     pub dropped_events: u64,
 }
 
@@ -364,7 +364,7 @@ impl ForensicIndex {
 
         let mut index = ForensicIndex {
             untraced_events: untraced,
-            dropped_events: snapshot.dropped,
+            dropped_events: snapshot.dropped_in_window,
             ..ForensicIndex::default()
         };
         for (invocation, mut events) in by_invocation {
@@ -722,6 +722,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![0],
         };
         let index = ForensicIndex::stitch(&snapshot);
@@ -773,6 +774,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![0],
         };
         let index = ForensicIndex::stitch(&snapshot);
@@ -790,6 +792,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![0],
         });
         let b = ForensicIndex::stitch(&TraceSnapshot {
@@ -797,6 +800,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![0],
         });
         assert_eq!(a.fingerprint(), b.fingerprint());
@@ -807,6 +811,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![0],
         });
         assert_ne!(a.fingerprint(), c.fingerprint());
@@ -819,6 +824,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![0],
         });
         let text = chrome_trace_with_flows(index.trees.iter());
@@ -841,6 +847,7 @@ mod tests {
             counters: vec![],
             gauges: vec![],
             dropped: 0,
+            dropped_in_window: 0,
             dropped_by_shard: vec![0],
         });
         let text = index.trees[0].render_ascii();

@@ -93,14 +93,19 @@ struct RecorderInner {
 /// counter/gauge state and the drop tally at drain time.
 #[derive(Debug, Clone)]
 pub struct TraceSnapshot {
-    /// All surviving events, sorted by start time.
+    /// All surviving events in timeline order: sorted by
+    /// `(start_ns, track, kind, dur_ns)`, equal keys in shard order and
+    /// then ring order.
     pub events: Vec<Event>,
     /// `(name, value)` for every counter, vocabulary order.
     pub counters: Vec<(&'static str, u64)>,
     /// `(name, value)` for every gauge, vocabulary order.
     pub gauges: Vec<(&'static str, u64)>,
-    /// Events lost to ring overwrite (cumulative).
+    /// Events lost to ring overwrite or torn reads (cumulative).
     pub dropped: u64,
+    /// Events lost since the previous drain: the window this snapshot's
+    /// events cover.
+    pub dropped_in_window: u64,
     /// Events lost per writer shard (cumulative; sums to `dropped`), so
     /// exports can point at the lossy writer instead of one anonymous
     /// total.
@@ -108,10 +113,11 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Whether any writer's event stream lost events — percentiles and
-    /// attributions computed from this snapshot are lower bounds then.
+    /// Whether any writer's event stream lost events in this snapshot's
+    /// window — percentiles and attributions computed from it are lower
+    /// bounds then. Losses of earlier windows do not count.
     pub fn is_lossy(&self) -> bool {
-        self.dropped > 0
+        self.dropped_in_window > 0
     }
 }
 
@@ -371,18 +377,23 @@ impl Recorder {
     /// across drains; events are consumed.
     pub fn drain(&self) -> TraceSnapshot {
         match &self.inner {
-            Some(inner) => TraceSnapshot {
-                events: inner.ring.drain(),
-                counters: inner.counters.snapshot_counters(),
-                gauges: inner.counters.snapshot_gauges(),
-                dropped: inner.ring.dropped(),
-                dropped_by_shard: inner.ring.dropped_by_shard(),
-            },
+            Some(inner) => {
+                let (events, dropped_in_window) = inner.ring.drain();
+                TraceSnapshot {
+                    events,
+                    counters: inner.counters.snapshot_counters(),
+                    gauges: inner.counters.snapshot_gauges(),
+                    dropped: inner.ring.dropped(),
+                    dropped_in_window,
+                    dropped_by_shard: inner.ring.dropped_by_shard(),
+                }
+            }
             None => TraceSnapshot {
                 events: Vec::new(),
                 counters: Vec::new(),
                 gauges: Vec::new(),
                 dropped: 0,
+                dropped_in_window: 0,
                 dropped_by_shard: Vec::new(),
             },
         }
@@ -540,6 +551,34 @@ mod tests {
         assert!(snap.is_lossy());
         assert_eq!(snap.dropped_by_shard.len(), 2);
         assert_eq!(snap.dropped_by_shard.iter().sum::<u64>(), snap.dropped);
+    }
+
+    #[test]
+    fn lossy_flags_the_window_not_the_history() {
+        let rec = Recorder::new(TelemetryConfig {
+            shards: 1,
+            capacity_per_shard: 8,
+        });
+        for _ in 0..20 {
+            rec.instant(EventKind::PoolMiss, 0, 0);
+        }
+        let overflowed = rec.drain();
+        assert!(overflowed.is_lossy());
+        assert_eq!(overflowed.dropped_in_window, 12);
+        assert_eq!(overflowed.dropped, 12);
+
+        for _ in 0..8 {
+            rec.instant(EventKind::PoolHit, 0, 0);
+        }
+        let within = rec.drain();
+        assert_eq!(within.events.len(), 8);
+        assert!(
+            !within.is_lossy(),
+            "an earlier window's loss is not this one's"
+        );
+        assert_eq!(within.dropped_in_window, 0);
+        assert_eq!(within.dropped, 12, "the cumulative count stays");
+        assert_eq!(within.dropped_by_shard, vec![12]);
     }
 
     #[test]

@@ -137,6 +137,7 @@ fn snapshot(events: Vec<Event>) -> TraceSnapshot {
         counters: vec![],
         gauges: vec![],
         dropped: 0,
+        dropped_in_window: 0,
         dropped_by_shard: vec![0],
     }
 }
