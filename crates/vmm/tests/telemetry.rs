@@ -1,6 +1,7 @@
 //! The VMM's telemetry wiring: pause/resume pipelines land on the
 //! recorder as coherent span trees, with per-merge-thread splice work.
 
+use horse_faults::{FaultInjector, FaultPlan, FaultSite, FaultTrigger};
 use horse_telemetry::{Counter, EventKind, Recorder};
 use horse_vmm::{PausePolicy, ResumeMode, SandboxConfig, Vmm};
 
@@ -174,4 +175,95 @@ fn resume_counters_track_modes() {
     assert_eq!(rec.counter_value(Counter::ResumesPpsm), 0);
     assert!(rec.counter_value(Counter::Splices) > 0);
     assert_eq!(rec.dropped(), 0);
+}
+
+#[test]
+fn degraded_resume_instants_stay_inside_their_step() {
+    use EventKind::{FaultInjected, HorseFallback, StragglerRescue};
+    use EventKind::{ResumeLoadUpdate as Load, ResumeSortedMerge as Merge};
+    // The fault-path instants a case must leave, each with the step it
+    // happens in.
+    type Expected = &'static [(EventKind, EventKind)];
+    let cases: [(Option<FaultSite>, Expected); 5] = [
+        (None, &[]),
+        (
+            Some(FaultSite::ResumePlanStale),
+            &[(FaultInjected, Merge), (HorseFallback, Merge)],
+        ),
+        (
+            Some(FaultSite::ResumePlanCorrupt),
+            &[(FaultInjected, Merge), (HorseFallback, Merge)],
+        ),
+        (
+            Some(FaultSite::SpliceStraggler),
+            &[(FaultInjected, Merge), (StragglerRescue, Merge)],
+        ),
+        (
+            Some(FaultSite::CoalescePoisoned),
+            &[(FaultInjected, Load), (HorseFallback, Load)],
+        ),
+    ];
+    let steps = [
+        EventKind::ResumeParse,
+        EventKind::ResumeLock,
+        EventKind::ResumeSanity,
+        Merge,
+        Load,
+        EventKind::ResumeFinalize,
+    ];
+    for (site, expected) in cases {
+        let plan = site.map_or(FaultPlan::new(), |s| {
+            FaultPlan::new().with(s, FaultTrigger::Once(1))
+        });
+        let mut vmm = Vmm::with_defaults();
+        vmm.set_recorder(Recorder::enabled());
+        vmm.set_injector(FaultInjector::new(7, plan));
+        // A sandbox already on the queue gives the plan real splice
+        // points.
+        let background = vmm.create(cfg(3));
+        vmm.start(background).unwrap();
+        let id = vmm.create(cfg(4));
+        vmm.start(id).unwrap();
+        vmm.pause(id, PausePolicy::horse()).unwrap();
+        vmm.recorder().drain();
+        let outcome = vmm.resume(id, ResumeMode::Horse).unwrap();
+        assert_eq!(outcome.degradation.any(), site.is_some(), "{site:?}");
+
+        let events = vmm.recorder().drain().events;
+        let span = |kind| {
+            events
+                .iter()
+                .find(|e| e.kind == kind && !e.is_instant())
+                .unwrap_or_else(|| panic!("{site:?}: missing span {kind:?}"))
+        };
+        let resume = span(EventKind::Resume);
+        let sum: u64 = steps.iter().map(|&k| span(k).dur_ns).sum();
+        assert_eq!(sum, resume.dur_ns, "{site:?}: steps sum to the resume");
+
+        for instant in events.iter().filter(|e| e.is_instant()) {
+            let parent = instant.parent.expect("resume instants carry a step");
+            assert!(
+                parent == Merge || parent == Load,
+                "{site:?}: {:?} parented to {parent:?}",
+                instant.kind
+            );
+            let step = span(parent);
+            assert!(
+                (step.start_ns..=step.end_ns()).contains(&instant.start_ns),
+                "{site:?}: {:?} at {} outside {parent:?} [{}, {}]",
+                instant.kind,
+                instant.start_ns,
+                step.start_ns,
+                step.end_ns()
+            );
+        }
+        for &(kind, parent) in expected {
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.is_instant() && e.kind == kind && e.parent == Some(parent)),
+                "{site:?}: no {kind:?} instant under {parent:?}"
+            );
+        }
+    }
 }
