@@ -20,6 +20,7 @@
 //! module docs).
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 mod config;

@@ -6,6 +6,7 @@
 //! has, so the trade can be quantified: what the resume saves, the pause
 //! pays — off the critical path.
 
+use horse_telemetry::EventKind;
 use serde::{Deserialize, Serialize};
 
 /// Steps of the sandbox pause pipeline.
@@ -25,7 +26,8 @@ pub enum PauseStep {
 }
 
 impl PauseStep {
-    /// All steps, pipeline order.
+    /// All steps, in report order (a pause assigns its queue before it
+    /// builds the merge list).
     pub const ALL: [PauseStep; 5] = [
         PauseStep::DequeueVcpus,
         PauseStep::BuildMergeList,
@@ -45,13 +47,24 @@ impl PauseStep {
         }
     }
 
-    fn index(self) -> usize {
+    /// The order a pause runs its steps in, which is also the order of
+    /// its spans: the queue is assigned before the merge list is built.
+    pub(crate) const RUN_ORDER: [PauseStep; 5] = [
+        PauseStep::DequeueVcpus,
+        PauseStep::AssignUllQueue,
+        PauseStep::BuildMergeList,
+        PauseStep::PrecomputePlan,
+        PauseStep::PrecomputeCoalesce,
+    ];
+
+    /// The telemetry span this step is recorded as.
+    pub(crate) fn event_kind(self) -> EventKind {
         match self {
-            PauseStep::DequeueVcpus => 0,
-            PauseStep::BuildMergeList => 1,
-            PauseStep::AssignUllQueue => 2,
-            PauseStep::PrecomputePlan => 3,
-            PauseStep::PrecomputeCoalesce => 4,
+            PauseStep::DequeueVcpus => EventKind::PauseDequeue,
+            PauseStep::BuildMergeList => EventKind::PauseBuildList,
+            PauseStep::AssignUllQueue => EventKind::PauseAssignQueue,
+            PauseStep::PrecomputePlan => EventKind::PausePlan,
+            PauseStep::PrecomputeCoalesce => EventKind::PauseCoalesce,
         }
     }
 }
@@ -77,12 +90,12 @@ pub struct PauseBreakdown {
 impl PauseBreakdown {
     /// Sets the duration of one step.
     pub fn set(&mut self, step: PauseStep, ns: u64) {
-        self.steps[step.index()] = ns;
+        self.steps[step as usize] = ns;
     }
 
     /// Duration of one step.
     pub fn get(&self, step: PauseStep) -> u64 {
-        self.steps[step.index()]
+        self.steps[step as usize]
     }
 
     /// Total pause duration.
@@ -117,6 +130,9 @@ mod tests {
             labels,
             vec!["dequeue", "merge_list", "assign_queue", "plan", "coalesce"]
         );
+        for (i, step) in PauseStep::ALL.into_iter().enumerate() {
+            assert_eq!(step as usize, i);
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! `Horse`. This module defines those vocabularies plus the per-step
 //! breakdown that Figure 2 and Figure 3 are made of.
 
+use horse_telemetry::EventKind;
 use serde::{Deserialize, Serialize};
 
 /// The six steps of a sandbox resume (paper §3.1 ①–⑥).
@@ -48,14 +49,15 @@ impl ResumeStep {
         }
     }
 
-    fn index(self) -> usize {
+    /// The telemetry span this step is recorded as.
+    pub(crate) fn event_kind(self) -> EventKind {
         match self {
-            ResumeStep::ParseInput => 0,
-            ResumeStep::AcquireLock => 1,
-            ResumeStep::SanityChecks => 2,
-            ResumeStep::SortedMerge => 3,
-            ResumeStep::LoadUpdate => 4,
-            ResumeStep::Finalize => 5,
+            ResumeStep::ParseInput => EventKind::ResumeParse,
+            ResumeStep::AcquireLock => EventKind::ResumeLock,
+            ResumeStep::SanityChecks => EventKind::ResumeSanity,
+            ResumeStep::SortedMerge => EventKind::ResumeSortedMerge,
+            ResumeStep::LoadUpdate => EventKind::ResumeLoadUpdate,
+            ResumeStep::Finalize => EventKind::ResumeFinalize,
         }
     }
 }
@@ -135,12 +137,12 @@ pub struct ResumeBreakdown {
 impl ResumeBreakdown {
     /// Sets the duration of one step.
     pub fn set(&mut self, step: ResumeStep, ns: u64) {
-        self.steps[step.index()] = ns;
+        self.steps[step as usize] = ns;
     }
 
     /// Duration of one step.
     pub fn get(&self, step: ResumeStep) -> u64 {
-        self.steps[step.index()]
+        self.steps[step as usize]
     }
 
     /// Total resume duration.
@@ -172,7 +174,7 @@ impl ResumeBreakdown {
         }
         ResumeStep::ALL
             .into_iter()
-            .max_by_key(|&s| (self.get(s), std::cmp::Reverse(s.index())))
+            .max_by_key(|&s| (self.get(s), std::cmp::Reverse(s as usize)))
     }
 }
 
@@ -195,6 +197,9 @@ mod tests {
                 "finalize"
             ]
         );
+        for (i, step) in ResumeStep::ALL.into_iter().enumerate() {
+            assert_eq!(step as usize, i);
+        }
     }
 
     #[test]
@@ -209,6 +214,9 @@ mod tests {
         assert!(ResumeMode::Horse.uses_coalescing());
         assert_eq!(ResumeMode::Horse.to_string(), "horse");
         assert_eq!(ResumeMode::ALL.len(), 4);
+        for (i, mode) in ResumeMode::ALL.into_iter().enumerate() {
+            assert_eq!(mode as usize, i);
+        }
     }
 
     #[test]

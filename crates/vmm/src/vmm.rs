@@ -3,12 +3,17 @@
 //! [`Vmm`] glues the scheduler substrate to the sandbox state machine and
 //! implements the paper's pause and resume paths:
 //!
-//! * **pause** (§4.1.3/§4.2.2): dequeue the sandbox's vCPUs, and — under a
-//!   HORSE [`PausePolicy`] — build `merge_vcpus`, assign an
-//!   `ull_runqueue`, precompute the 𝒫²𝒮ℳ plan and the coalesced load
-//!   update;
-//! * **resume** (§3.1 / §5.1): the instrumented six-step pipeline in the
-//!   four evaluation setups (`vanil`, `ppsm`, `coal`, `horse`);
+//! * **pause** (§4.1.3/§4.2.2): `pause_dequeue`, then — under a HORSE
+//!   [`PausePolicy`] — `pause_assign_queue`, `pause_build_list`,
+//!   `pause_plan` and `pause_coalesce`, one private fn per
+//!   `EventKind::Pause*` span, each returning its modelled ns;
+//! * **resume** (§3.1 / §5.1): the six-step pipeline in the four
+//!   evaluation setups (`vanil`, `ppsm`, `coal`, `horse`). Step ③ is
+//!   `resume_sanity`; ④ `resume_sorted_merge` (𝒫²𝒮ℳ splice or fallback
+//!   merge, with `rescue_stragglers`) then `recover_placements`, or
+//!   `resume_insert_vcpus`; ⑤ `resume_load_update` (coalesced) or
+//!   `resume_per_vcpu_load`; ⑥ `resume_finalize`. `record_steps` lays
+//!   either pipeline's spans on the trace;
 //! * **plan maintenance**: a mutation of an `ull_runqueue` updates the
 //!   plans of the paused sandboxes assigned to it, charging the cost to
 //!   their off-critical-path maintenance budget (the §5.2 overhead) —
@@ -28,13 +33,15 @@ use crate::resume::{ResumeBreakdown, ResumeMode, ResumeStep};
 use crate::sandbox::{PausePolicy, PausedState, Sandbox, SandboxState, VcpuPlacement};
 use crate::snapshot::{RestoreModel, SandboxSnapshot};
 use crate::splice_pool::{SplicePool, SplicePoolStats};
-use horse_core::{MergeReport, PlanBuffers, PlanCorruption, SortedList, StalePlanError};
+use horse_core::{
+    CoalescedUpdate, MergePlan, MergeReport, PlanBuffers, PlanCorruption, SortedList,
+};
 use horse_faults::{FaultId, FaultInjector, FaultSite, RecoveryOutcome};
 use horse_sched::{
     HostScheduler, RqId, RqKind, SandboxId, SchedConfig, SpliceWatchdog, Vcpu, VcpuId,
 };
 use horse_telemetry::alloc::{note_buffer_recycled, AllocPhase, AllocScope};
-use horse_telemetry::{Counter, EventKind, Gauge, Recorder};
+use horse_telemetry::{Counter, Event, EventKind, Gauge, Recorder, TraceContext};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -67,8 +74,6 @@ pub enum VmmError {
         /// The offending mode.
         mode: ResumeMode,
     },
-    /// The 𝒫²𝒮ℳ plan no longer matches its ull_runqueue.
-    Stale(StalePlanError),
     /// The sandbox crashed mid-pause or mid-resume (fault injection or a
     /// real microVM death). Partial scheduler state was rolled back and
     /// the sandbox destroyed — the id is gone.
@@ -95,7 +100,6 @@ impl fmt::Display for VmmError {
             VmmError::ModeMismatch { id, mode } => {
                 write!(f, "sandbox {id} was not paused for resume mode {mode}")
             }
-            VmmError::Stale(e) => write!(f, "{e}"),
             VmmError::Crashed { id, mid_resume } => write!(
                 f,
                 "sandbox {id} crashed mid-{}; state rolled back, sandbox destroyed",
@@ -105,20 +109,7 @@ impl fmt::Display for VmmError {
     }
 }
 
-impl Error for VmmError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            VmmError::Stale(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<StalePlanError> for VmmError {
-    fn from(e: StalePlanError) -> Self {
-        VmmError::Stale(e)
-    }
-}
+impl Error for VmmError {}
 
 /// Outcome of a pause: its off-critical-path cost and what it precomputed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,12 +211,8 @@ impl VmmStats {
 
     /// Mean resume duration for a mode, in ns (0 if none ran).
     pub fn mean_resume_ns(&self, mode: ResumeMode) -> u64 {
-        let i = ResumeMode::ALL
-            .iter()
-            .position(|m| *m == mode)
-            .expect("known mode");
-        self.resume_ns_by_mode[i]
-            .checked_div(self.resumes_by_mode[i])
+        self.resume_ns_by_mode[mode as usize]
+            .checked_div(self.resumes_by_mode[mode as usize])
             .unwrap_or(0)
     }
 }
@@ -577,140 +564,56 @@ impl Vmm {
         // the plan and coalesce precomputations re-scope below.
         let _alloc = AllocScope::enter(AllocPhase::Pause);
         self.expect_state(id, SandboxState::Running)?;
-        let sb = self.sandboxes.get_mut(&id.as_u64()).expect("checked above");
-        let mut placements = std::mem::take(&mut sb.placements);
-        let n = placements.len() as u32;
-
-        // Dequeue every vCPU, remembering credits for re-insertion: one
-        // walk per queue the sandbox sits on, taking all its vCPUs there
-        // (a per-vCPU `dequeue_vcpu` walks to each node's predecessor —
-        // O(n·q) where this is O(q)). If the vCPUs sit on an
-        // ull_runqueue, other paused sandboxes' plans against that queue
-        // go stale and must be rebuilt afterwards — unless this sandbox
-        // is the queue's resident.
         // The save-buffer comes from the scratch pool (filled by earlier
-        // resumes); the drained placement buffer goes back for the next
-        // resume — a warm pause/resume cycle allocates nothing.
+        // resumes): a warm pause/resume cycle allocates nothing.
         let mut saved: Vec<(i64, Vcpu)> = HotScratch::take_buf(&mut self.scratch.saved);
         let mut touched = std::mem::take(&mut self.scratch.touched);
-        touched.extend(placements.drain(..).map(|p| p.rq));
-        self.scratch.placements.push(placements);
-        touched.sort_unstable_by_key(|rq| rq.as_usize());
-        let mut rest = &touched[..];
-        while let Some(&rq) = rest.first() {
-            let on_rq = rest.iter().take_while(|r| **r == rq).count();
-            self.pause_walk_steps += self.sched.dequeue_sandbox(rq, id, on_rq, &mut saved) as u64;
-            rest = &rest[on_rq..];
-        }
-        touched.retain(|rq| self.sched.queue(*rq).kind() == RqKind::Ull);
-        self.vacate(&mut touched, id);
-        // Unstable sort: `(credit, vcpu.id)` keys are unique, so the
-        // order is identical to the stable sort — without its temporary
-        // merge buffer.
-        saved.sort_unstable_by_key(|(credit, vcpu)| (*credit, vcpu.id));
         let mut breakdown = PauseBreakdown::default();
-        breakdown.set(
-            PauseStep::DequeueVcpus,
-            (f64::from(n) * self.cost.pause_dequeue_per_vcpu_ns).round() as u64,
-        );
+        let dequeue_ns = self.pause_dequeue(id, &mut saved, &mut touched);
+        breakdown.set(PauseStep::DequeueVcpus, dequeue_ns);
+        let n = saved.len() as u32;
 
-        // Chaos: crash mid-pause — vCPUs are off the queues but nothing
-        // precomputed yet. Recovery rolls the sandbox forward to a clean
-        // `Destroyed` state (the vCPU nodes are already freed by the
-        // dequeues) and rebuilds the plans the dequeues staled.
+        // Chaos: crash mid-pause — the vCPUs are off the queues (their
+        // nodes freed by the dequeues) but nothing is precomputed yet.
         if let Some(fault) = self.injector.should_inject(FaultSite::CrashMidPause) {
-            self.note_fault(FaultSite::CrashMidPause);
-            let sb = self.sandboxes.get_mut(&id.as_u64()).expect("checked above");
-            sb.set_state(SandboxState::Destroyed);
-            self.sandboxes.remove(&id.as_u64());
-            self.stats.destroyed += 1;
             self.recorder.gauge_add(Gauge::QueuedVcpus, -i64::from(n));
-            self.recorder
-                .gauge(Gauge::LiveSandboxes, self.sandboxes.len() as u64);
-            for &rq in &touched {
-                self.rebuild_plans_on(rq, None);
-            }
-            touched.clear();
-            self.scratch.touched = touched;
+            self.rebuild_touched(touched, None);
             saved.clear();
             self.scratch.saved.push(saved);
-            self.injector
-                .resolve(fault, RecoveryOutcome::CrashContained { mid_resume: false });
-            return Err(VmmError::Crashed {
-                id,
-                mid_resume: false,
-            });
+            return Err(self.contain_crash(id, fault, false));
         }
 
         // Degrade gracefully when every uLL queue has failed: pause
         // without precomputation (the sandbox then resumes through the
         // vanilla path) rather than refusing the pause.
         let mut policy = policy;
-        let needs_ull_target = policy.precompute_merge || policy.precompute_coalesce;
-        let ull_rq = if needs_ull_target {
-            match self.sched.try_assign_ull_queue() {
-                Some(rq) => {
-                    breakdown.set(
-                        PauseStep::AssignUllQueue,
-                        self.cost.ull_assign_ns.round() as u64,
-                    );
-                    Some(rq)
+        let mut ull_rq = None;
+        if policy.precompute_merge || policy.precompute_coalesce {
+            match self.pause_assign_queue() {
+                Some((rq, ns)) => {
+                    breakdown.set(PauseStep::AssignUllQueue, ns);
+                    ull_rq = Some(rq);
                 }
-                None => {
-                    policy = PausePolicy::vanilla();
-                    None
-                }
+                None => policy = PausePolicy::vanilla(),
             }
-        } else {
-            None
-        };
-
-        let plan = if policy.precompute_merge {
+        }
+        let plan = policy.precompute_merge.then(|| {
             let _alloc = AllocScope::enter(AllocPhase::PlanPrecompute);
             let rq = ull_rq.expect("assigned above");
             // The plan must be built against what its future peers'
             // plans describe, not against another sandbox's transit.
             self.settle(rq);
-            // `saved` is sorted: appending at the tail builds the list a
-            // sorted insert per vCPU would. The step is priced as those
-            // inserts, in closed form.
-            let mut merge_vcpus = SortedList::new();
-            for &(credit, vcpu) in &saved {
-                merge_vcpus.push_back(self.sched.arena_mut(), credit, vcpu);
-            }
-            self.pause_walk_steps += u64::from(n);
-            breakdown.set(
-                PauseStep::BuildMergeList,
-                self.cost.build_merge_list_ns(u64::from(n)).round() as u64,
-            );
-            // Plan buffers recycle from earlier merges/teardowns; the
-            // merge-list nodes themselves reuse the arena slots the
-            // dequeues above just freed.
-            let bufs = self.scratch.plans.pop().unwrap_or_default();
-            if bufs.has_capacity() {
-                note_buffer_recycled();
-            }
-            let plan = self.sched.ull_precompute_in(rq, merge_vcpus, bufs);
-            breakdown.set(
-                PauseStep::PrecomputePlan,
-                ((plan.a_len() + plan.b_len()) as f64 * self.cost.plan_precompute_per_elem_ns)
-                    .round() as u64,
-            );
-            Some(plan)
-        } else {
-            None
-        };
-
-        let coalesced = if policy.precompute_coalesce {
-            let _alloc = AllocScope::enter(AllocPhase::Coalesce);
-            breakdown.set(
-                PauseStep::PrecomputeCoalesce,
-                self.cost.coalesce_precompute_ns.round() as u64,
-            );
-            Some(self.sched.tracker().coalesce(n))
-        } else {
-            None
-        };
+            let (merge_vcpus, build_ns) = self.pause_build_list(&saved);
+            breakdown.set(PauseStep::BuildMergeList, build_ns);
+            let (plan, plan_ns) = self.pause_plan(rq, merge_vcpus);
+            breakdown.set(PauseStep::PrecomputePlan, plan_ns);
+            plan
+        });
+        let coalesced = policy.precompute_coalesce.then(|| {
+            let (coalesced, ns) = self.pause_coalesce(n);
+            breakdown.set(PauseStep::PrecomputeCoalesce, ns);
+            coalesced
+        });
         let cost = breakdown.total_ns();
 
         let plan_bytes = plan.as_ref().map_or(0, |p| p.memory_bytes());
@@ -724,21 +627,31 @@ impl Vmm {
         });
         sb.set_state(SandboxState::Paused);
         sb.maintenance_ns += cost;
-
-        if let Some(rq) = ull_rq {
-            if policy.precompute_merge {
-                self.plans_on[rq.as_usize()].paused.push(id);
-            }
+        if let Some(rq) = ull_rq.filter(|_| policy.precompute_merge) {
+            self.plans_on[rq.as_usize()].paused.push(id);
         }
         // Rebuild plans of other paused sandboxes whose B we mutated.
-        for &rq in &touched {
-            self.rebuild_plans_on(rq, Some(id));
-        }
-        touched.clear();
-        self.scratch.touched = touched;
+        self.rebuild_touched(touched, Some(id));
 
         self.stats.pauses += 1;
-        self.record_pause(id, policy, &breakdown, n);
+        if self.recorder.is_enabled() {
+            // Stamped with the current trace context: a keep-alive
+            // re-pause carries the invocation it served, while a
+            // provisioning pause is untraced (invocation 0).
+            let (now, ctx) = (self.recorder.now_ns(), self.recorder.context());
+            let steps = PauseStep::RUN_ORDER.map(|s| (s.event_kind(), breakdown.get(s)));
+            let steps = steps.into_iter().filter(|&(_, ns)| ns > 0);
+            self.record_steps(EventKind::Pause, id, now, ctx, steps);
+            let counter = if policy.precompute_merge || policy.precompute_coalesce {
+                Counter::PausesHorse
+            } else {
+                Counter::PausesVanilla
+            };
+            self.recorder.count(counter, 1);
+            // Delta, not a recount: scanning every runqueue here would
+            // put an O(queues) walk on the pause hot path.
+            self.recorder.gauge_add(Gauge::QueuedVcpus, -i64::from(n));
+        }
         Ok(PauseReport {
             cost_ns: cost,
             breakdown,
@@ -747,74 +660,116 @@ impl Vmm {
         })
     }
 
-    /// Lays the pause pipeline onto the telemetry cursor (no-op when the
-    /// recorder is disabled): one child span per non-zero step in
-    /// execution order, under a parent [`EventKind::Pause`] span.
-    fn record_pause(
-        &self,
+    /// `PauseDequeue`: one walk per queue moves `id`'s vCPUs into the
+    /// empty `saved`, sorted (per-vCPU dequeues would walk O(n·q) nodes).
+    /// Leaves in `touched` the uLL queues whose plans went stale.
+    fn pause_dequeue(
+        &mut self,
         id: SandboxId,
-        policy: PausePolicy,
-        breakdown: &PauseBreakdown,
-        vcpus: u32,
-    ) {
-        if !self.recorder.is_enabled() {
-            return;
+        saved: &mut Vec<(i64, Vcpu)>,
+        touched: &mut Vec<RqId>,
+    ) -> u64 {
+        let sb = self.sandboxes.get_mut(&id.as_u64()).expect("running");
+        let mut placements = std::mem::take(&mut sb.placements);
+        let n = placements.len() as u32;
+        touched.extend(placements.drain(..).map(|p| p.rq));
+        self.scratch.placements.push(placements);
+        touched.sort_unstable_by_key(|rq| rq.as_usize());
+        let mut rest = &touched[..];
+        while let Some(&rq) = rest.first() {
+            let on_rq = rest.iter().take_while(|r| **r == rq).count();
+            self.pause_walk_steps += self.sched.dequeue_sandbox(rq, id, on_rq, saved) as u64;
+            rest = &rest[on_rq..];
         }
-        let start = self.recorder.now_ns();
-        const STEPS: [(PauseStep, EventKind); 5] = [
-            (PauseStep::DequeueVcpus, EventKind::PauseDequeue),
-            (PauseStep::AssignUllQueue, EventKind::PauseAssignQueue),
-            (PauseStep::BuildMergeList, EventKind::PauseBuildList),
-            (PauseStep::PrecomputePlan, EventKind::PausePlan),
-            (PauseStep::PrecomputeCoalesce, EventKind::PauseCoalesce),
-        ];
-        // One batched claim: the parent span plus every non-zero step.
-        // The batch is stamped with the current trace context: a
-        // keep-alive re-pause carries the invocation it served, while a
-        // provisioning pause is untraced (invocation 0).
-        let ctx = self.recorder.context();
-        let mut events = [horse_telemetry::Event {
-            kind: EventKind::Pause,
+        touched.retain(|rq| self.sched.queue(*rq).kind() == RqKind::Ull);
+        self.vacate(touched, id);
+        // Unstable sort: `(credit, vcpu.id)` keys are unique, so the
+        // order is identical to the stable sort — without its temporary
+        // merge buffer.
+        saved.sort_unstable_by_key(|(credit, vcpu)| (*credit, vcpu.id));
+        (f64::from(n) * self.cost.pause_dequeue_per_vcpu_ns).round() as u64
+    }
+
+    /// `PauseAssignQueue`: the uLL queue the resume will merge into
+    /// (§4.1.3 balancing), or `None` when every uLL queue has failed.
+    fn pause_assign_queue(&mut self) -> Option<(RqId, u64)> {
+        let rq = self.sched.try_assign_ull_queue()?;
+        Some((rq, self.cost.ull_assign_ns.round() as u64))
+    }
+
+    /// `PauseBuildList`: `merge_vcpus`. `saved` is sorted, so appending
+    /// builds the list a sorted insert per vCPU would; the step is priced
+    /// as those inserts, in closed form. Its nodes reuse the arena slots
+    /// the dequeues just freed.
+    fn pause_build_list(&mut self, saved: &[(i64, Vcpu)]) -> (SortedList, u64) {
+        let mut merge_vcpus = SortedList::new();
+        for &(credit, vcpu) in saved {
+            merge_vcpus.push_back(self.sched.arena_mut(), credit, vcpu);
+        }
+        let n = saved.len() as u64;
+        self.pause_walk_steps += n;
+        (merge_vcpus, self.cost.build_merge_list_ns(n).round() as u64)
+    }
+
+    /// `PausePlan`: the 𝒫²𝒮ℳ plan of `merge_vcpus` against `rq`, in
+    /// recycled buffers.
+    fn pause_plan(&mut self, rq: RqId, merge_vcpus: SortedList) -> (MergePlan, u64) {
+        let bufs = self.scratch.plans.pop().unwrap_or_default();
+        if bufs.has_capacity() {
+            note_buffer_recycled();
+        }
+        let plan = self.sched.ull_precompute_in(rq, merge_vcpus, bufs);
+        let elems = (plan.a_len() + plan.b_len()) as f64;
+        let ns = (elems * self.cost.plan_precompute_per_elem_ns).round() as u64;
+        (plan, ns)
+    }
+
+    /// `PauseCoalesce`: the load-update constants for `n` vCPUs (§4.2.2).
+    fn pause_coalesce(&self, n: u32) -> (CoalescedUpdate, u64) {
+        let _alloc = AllocScope::enter(AllocPhase::Coalesce);
+        let ns = self.cost.coalesce_precompute_ns.round() as u64;
+        (self.sched.tracker().coalesce(n), ns)
+    }
+
+    /// Pushes a `kind` span for sandbox `id` from `start_ns` and its
+    /// `(kind, ns)` steps laid end to end as one batch, without allocating.
+    /// Leaves the cursor at the last step's end. Callers skip it when the
+    /// recorder is disabled.
+    fn record_steps(
+        &self,
+        kind: EventKind,
+        id: SandboxId,
+        start_ns: u64,
+        ctx: TraceContext,
+        steps: impl IntoIterator<Item = (EventKind, u64)>,
+    ) {
+        let parent = Event {
+            kind,
             track: 0,
-            start_ns: start,
-            dur_ns: breakdown.total_ns(),
+            start_ns,
+            dur_ns: 0,
             arg: id.as_u64(),
             invocation: ctx.invocation,
             parent: ctx.parent,
-        }; 6];
+        };
+        let mut events = [parent; 1 + ResumeStep::ALL.len()];
         let mut filled = 1;
-        let mut cursor = start;
-        for (step, kind) in STEPS {
-            let ns = breakdown.get(step);
-            if ns > 0 {
-                events[filled] = horse_telemetry::Event {
-                    kind,
-                    track: 0,
-                    start_ns: cursor,
-                    dur_ns: ns,
-                    arg: 0,
-                    invocation: ctx.invocation,
-                    parent: Some(EventKind::Pause),
-                };
-                filled += 1;
-                cursor += ns;
-            }
+        let mut cursor = start_ns;
+        for (step, dur_ns) in steps {
+            events[filled] = Event {
+                kind: step,
+                start_ns: cursor,
+                dur_ns,
+                arg: 0,
+                parent: Some(kind),
+                ..parent
+            };
+            filled += 1;
+            cursor += dur_ns;
         }
+        events[0].dur_ns = cursor - start_ns;
         self.recorder.set_now(cursor);
         self.recorder.span_batch(events.into_iter().take(filled));
-        let horse_pause = policy.precompute_merge || policy.precompute_coalesce;
-        self.recorder.count(
-            if horse_pause {
-                Counter::PausesHorse
-            } else {
-                Counter::PausesVanilla
-            },
-            1,
-        );
-        // Delta, not a recount: scanning every runqueue here would put
-        // an O(queues) walk on the pause hot path.
-        self.recorder
-            .gauge_add(Gauge::QueuedVcpus, -i64::from(vcpus));
     }
 
     /// Resumes a paused sandbox in one of the paper's four setups,
@@ -824,7 +779,8 @@ impl Vmm {
     /// on the scheduler substrate; the step durations are the cost model
     /// applied to each step's inputs, or to the operations counted where
     /// the code runs the kernel's own algorithm (the vanilla inserts, the
-    /// fallback merge walk).
+    /// fallback merge walk). A stale 𝒫²𝒮ℳ plan is not an error: step ④
+    /// falls back to the vanilla sorted merge ([`ResumeDegradation`]).
     ///
     /// # Errors
     ///
@@ -833,42 +789,17 @@ impl Vmm {
     /// * [`VmmError::ModeMismatch`] if the pause policy did not precompute
     ///   what the mode consumes (or precomputed state the mode would
     ///   leak);
-    /// * [`VmmError::Stale`] if the 𝒫²𝒮ℳ plan went stale (a bug in plan
-    ///   maintenance — surfaced, never silently absorbed).
+    /// * [`VmmError::Crashed`] if the sandbox crashed mid-resume.
     pub fn resume(&mut self, id: SandboxId, mode: ResumeMode) -> Result<ResumeOutcome, VmmError> {
-        // Allocation attribution: resume steps ①–⑥ (splice merge
-        // included) default to `ResumeSplice`; the coalesced load update
-        // re-scopes below.
+        // Allocation attribution: steps ①–⑥ default to `ResumeSplice`;
+        // the coalesced load update re-scopes to `Coalesce`.
         let _alloc = AllocScope::enter(AllocPhase::ResumeSplice);
-        self.expect_state(id, SandboxState::Paused)?;
-        let ull_rq = {
-            let paused = self.sandboxes[&id.as_u64()]
-                .paused
-                .as_ref()
-                .expect("paused sandboxes carry paused state");
-            let p = paused.policy;
-            if mode.uses_ppsm() != p.precompute_merge
-                || mode.uses_coalescing() != p.precompute_coalesce
-            {
-                return Err(VmmError::ModeMismatch { id, mode });
-            }
-            paused.ull_rq
-        };
+        let ull_rq = self.resume_sanity(id, mode)?;
 
         // Chaos: crash mid-resume — the sanity checks passed but the
-        // sandbox dies before touching the queues. `destroy` already
-        // knows how to unwind a paused sandbox completely (plan nodes,
-        // queue assignment, plan maintenance on the queue), so crash
-        // containment *is* a destroy.
+        // sandbox dies before touching the queues.
         if let Some(fault) = self.injector.should_inject(FaultSite::CrashMidResume) {
-            self.note_fault(FaultSite::CrashMidResume);
-            self.destroy(id).expect("sandbox exists; checked above");
-            self.injector
-                .resolve(fault, RecoveryOutcome::CrashContained { mid_resume: true });
-            return Err(VmmError::Crashed {
-                id,
-                mid_resume: true,
-            });
+            return Err(self.contain_crash(id, fault, true));
         }
 
         // Another sandbox may be in transit on the target queue: bring
@@ -878,7 +809,6 @@ impl Vmm {
             self.settle(rq);
         }
 
-        let mut degradation = ResumeDegradation::default();
         let mut breakdown = ResumeBreakdown::default();
         breakdown.set(ResumeStep::ParseInput, self.cost.parse_ns.round() as u64);
         breakdown.set(
@@ -886,19 +816,12 @@ impl Vmm {
             self.cost.resume_lock_ns.round() as u64,
         );
         breakdown.set(ResumeStep::SanityChecks, self.cost.sanity_ns.round() as u64);
-
-        // Telemetry: advance the virtual cursor past steps ①–③ now, so
-        // the scheduler's own instants (merge, load update) land inside
-        // the step-④/⑤ windows. The step spans themselves are emitted in
-        // one batch at the end of the pipeline — a push per step would
-        // double the recorder's hot-path cost.
+        // Telemetry: advance the cursor past steps ①–③ now, so the
+        // instants of steps ④/⑤ land inside their windows. The spans go
+        // out in one batch at the end: a push per step would double the
+        // recorder's hot-path cost.
         let resume_start = self.recorder.now_ns();
-        self.recorder.set_now(
-            resume_start
-                + breakdown.get(ResumeStep::ParseInput)
-                + breakdown.get(ResumeStep::AcquireLock)
-                + breakdown.get(ResumeStep::SanityChecks),
-        );
+        self.recorder.set_now(resume_start + breakdown.total_ns());
         // The context the platform installed (invocation + invoke-phase
         // parent). Steps ④/⑤ re-parent the context around their work so
         // scheduler instants and fault events attach to the right step;
@@ -906,202 +829,38 @@ impl Vmm {
         let base_ctx = self.recorder.context();
 
         let sb = self.sandboxes.get_mut(&id.as_u64()).expect("present");
-        let paused = sb.paused.take().expect("paused state present");
-        let n = paused.saved_vcpus.len() as u32;
-
-        // --- step ④: sorted merge ---
-        self.recorder.set_parent(Some(EventKind::ResumeSortedMerge));
-        let merge_start = self.recorder.now_ns();
-        let mut merge_report = None;
+        let PausedState {
+            saved_vcpus,
+            plan,
+            coalesced,
+            ..
+        } = sb.paused.take().expect("paused state present");
+        let n = saved_vcpus.len() as u32;
+        let mut degradation = ResumeDegradation::default();
         // Placement buffer recycled from the previous pause (or `start`).
         let mut placements: Vec<VcpuPlacement> = HotScratch::take_buf(&mut self.scratch.placements);
-        let merge_ns = if mode.uses_ppsm() {
-            let rq = paused.ull_rq.expect("ppsm pause assigned a queue");
-            let mut plan = paused.plan.expect("ppsm pause built a plan");
-            let splices = plan.splice_count();
 
-            // Chaos: stale/corrupted-plan injections. Corruption is
-            // metadata-only ([`PlanCorruption`]), so the verification
-            // below detects it while `into_list` still reconstructs A
-            // exactly — the fallback is sound by construction.
-            let mut plan_faults: Vec<FaultId> = Vec::new();
-            for site in [FaultSite::ResumePlanStale, FaultSite::ResumePlanCorrupt] {
-                let Some(fault) = self.injector.should_inject(site) else {
-                    continue;
-                };
-                self.note_fault(site);
-                let preferred = match site {
-                    FaultSite::ResumePlanStale => PlanCorruption::StaleBHead,
-                    _ if self.injector.arrivals_at(site) % 2 == 0 => {
-                        PlanCorruption::TruncatedArrayB
-                    }
-                    _ => PlanCorruption::AnchorSkew,
-                };
-                let applied = plan.corrupt(preferred)
-                    || PlanCorruption::ALL
-                        .into_iter()
-                        .any(|c| c != preferred && plan.corrupt(c));
-                if applied {
-                    plan_faults.push(fault);
-                } else {
-                    // Degenerate plan with nothing to corrupt: the fault
-                    // is a no-op and the clean path continues.
-                    self.injector.resolve(
-                        fault,
-                        RecoveryOutcome::FellBackToVanillaMerge { penalty_ns: 0 },
-                    );
-                }
-            }
-
-            // Step-④ safety net: *always* verify the plan against its
-            // queue before splicing — a corrupted plan must never reach
-            // the splice pool. On the clean path the walk is folded into
-            // the step-③ sanity budget; a failed check falls back to the
-            // vanilla sorted merge of the plan's reconstructed A.
-            let verified = plan
-                .check_consistent(self.sched.arena(), self.sched.queue_list(rq))
-                .is_ok();
-            let ns = if verified {
-                debug_assert!(
-                    plan_faults.is_empty(),
-                    "corrupted plans must fail verification"
-                );
-                // Chaos: straggling or dead splice threads. The watchdog
-                // reclaims their splice points and the rest of the merge
-                // completes them: the same disjoint splices on the same
-                // pool, so only the latency differs.
-                let straggler = self.injector.should_inject(FaultSite::SpliceStraggler);
-                let death = self.injector.should_inject(FaultSite::SpliceThreadDeath);
-                let lost = usize::from(straggler.is_some()) + usize::from(death.is_some());
-                let mut rescue_penalty = 0u64;
-                if lost > 0 {
-                    let rescue = self.watchdog.plan_rescue(splices, lost);
-                    // Rescued splices re-run sequentially: one unlink plus
-                    // one link per splice point, ptr-write bound.
-                    let per_splice_ns = 2.0 * self.cost.ptr_write_ns;
-                    rescue_penalty = if straggler.is_some() {
-                        // A straggler makes the merge wait out the full
-                        // budget; a dead thread is detected immediately.
-                        self.watchdog
-                            .rescue_penalty_ns(rescue.rescued_splices, per_splice_ns)
-                    } else {
-                        (rescue.rescued_splices as f64 * per_splice_ns).round() as u64
-                    };
-                    for (fault, site) in [
-                        (straggler, FaultSite::SpliceStraggler),
-                        (death, FaultSite::SpliceThreadDeath),
-                    ] {
-                        if let Some(fault) = fault {
-                            self.note_fault(site);
-                            self.injector.resolve(
-                                fault,
-                                RecoveryOutcome::StragglerRescued {
-                                    rescued_splices: rescue.rescued_splices as u64,
-                                },
-                            );
-                        }
-                    }
-                    degradation.straggler_rescued_splices = rescue.rescued_splices as u32;
-                    degradation.penalty_ns += rescue_penalty;
-                    self.recorder.count(Counter::StragglerRescues, 1);
-                    self.recorder.instant(
-                        EventKind::StragglerRescue,
-                        0,
-                        rescue.rescued_splices as u64,
-                    );
-                }
-                // Stage the splice and run it on the VMM's worker pool —
-                // parked threads when the pool is parallel, this thread by
-                // default — then apply the head splice here.
-                {
-                    let staged = plan.stage(self.sched.queue_list(rq))?;
-                    self.pool.run(
-                        self.sched.arena(),
-                        &staged,
-                        &self.watchdog,
-                        self.wake_emulation_nanos,
-                    );
-                }
-                let (report, bufs) = self.sched.ull_finish_staged(rq, plan);
-                self.scratch.plans.push(bufs);
-                merge_report = Some(report);
-                self.cost.horse_merge_ns(splices) + rescue_penalty as f64
-            } else {
-                // Degraded step ④: reconstruct A from the plan (exact —
-                // `into_list` ignores the corruptible metadata) and run
-                // the vanilla sorted merge into the queue. Same queue
-                // contents as a successful splice, vanilla latency.
-                let (list, bufs) = plan.into_list_recycling(self.sched.arena());
-                self.scratch.plans.push(bufs);
-                let before = self.sched.arena_stats(); // time only the fallback walk
-                let merged = self.sched.fallback_merge(rq, list);
-                assert_eq!(merged as u32, n, "fallback must merge all of A");
-                let ops = self.sched.arena_stats() - before;
-                let vanilla_ns = self.cost.vanilla_merge_ns(ops);
-                let penalty = (vanilla_ns - self.cost.horse_merge_ns(splices))
-                    .max(0.0)
-                    .round() as u64;
-                degradation.plan_fallback = true;
-                degradation.penalty_ns += penalty;
-                self.recorder.count(Counter::HorseFallbacks, 1);
-                self.recorder.instant(EventKind::HorseFallback, 0, penalty);
-                for fault in plan_faults.drain(..) {
-                    self.injector.resolve(
-                        fault,
-                        RecoveryOutcome::FellBackToVanillaMerge {
-                            penalty_ns: penalty,
-                        },
-                    );
-                }
-                vanilla_ns
-            };
-            // Bookkeeping (untimed): recover the node handles of this
-            // sandbox's vCPUs from the queue for the next pause.
-            for (node, _, vcpu) in self.sched.queue_list(rq).iter(self.sched.arena()) {
-                if vcpu.sandbox == id {
-                    placements.push(VcpuPlacement {
-                        rq,
-                        node,
-                        vcpu: *vcpu,
-                    });
-                }
-            }
-            ns
+        self.recorder.set_parent(Some(EventKind::ResumeSortedMerge));
+        let merge_start = self.recorder.now_ns();
+        let (merge_ns, merge) = if mode.uses_ppsm() {
+            let rq = ull_rq.expect("ppsm pause assigned a queue");
+            let plan = plan.expect("ppsm pause built a plan");
+            let merged = self.resume_sorted_merge(rq, plan, n, &mut degradation);
+            self.recover_placements(id, rq, &mut placements);
+            merged
         } else {
-            // Per-vCPU sorted inserts. Vanilla scatters across general
-            // queues; coal concentrates on the assigned ull_runqueue
-            // (coalescing requires a single target queue, §4.2).
-            let before = self.sched.arena_stats();
-            for &(credit, vcpu) in &paused.saved_vcpus {
-                let (rq, node) = match paused.ull_rq {
-                    Some(rq) => (rq, self.sched.enqueue_vcpu(rq, credit, vcpu)),
-                    None => {
-                        let rq = self.sched.least_loaded_general();
-                        (rq, self.sched.enqueue_vcpu(rq, credit, vcpu))
-                    }
-                };
-                placements.push(VcpuPlacement { rq, node, vcpu });
-                // Wake-IPI emulation (wall-clock only): vanilla wakes each
-                // vCPU on the resuming thread as it is re-inserted, so the
-                // real latency grows one sleep per vCPU.
-                if self.wake_emulation_nanos > 0 {
-                    std::thread::sleep(std::time::Duration::from_nanos(self.wake_emulation_nanos));
-                }
-            }
-            let ops = self.sched.arena_stats() - before;
-            self.cost.vanilla_merge_ns(ops)
+            let ns = self.resume_insert_vcpus(ull_rq, &saved_vcpus, &mut placements);
+            (ns, None)
         };
         let merge_dur = merge_ns.round() as u64;
         breakdown.set(ResumeStep::SortedMerge, merge_dur);
         self.recorder.set_now(merge_start + merge_dur);
-        if let Some(report) = &merge_report {
-            // Synthesize the paper's per-merge-thread view: one thread per
-            // splice point, all running concurrently across the step-④
-            // window (tracks 1..=N; track 0 is the resume pipeline
-            // itself). It shows the paper's model, not which pool worker
-            // executed each splice.
+        if let Some(report) = &merge {
+            // The paper's per-merge-thread view: one span per splice point
+            // across the step-④ window, on tracks 1..=N (track 0 is the
+            // pipeline). It shows the model, not which worker ran what.
             self.recorder
-                .span_batch((0..report.splices).map(|thread| horse_telemetry::Event {
+                .span_batch((0..report.splices).map(|thread| Event {
                     kind: EventKind::SpliceWork,
                     track: thread as u32 + 1,
                     start_ns: merge_start,
@@ -1112,79 +871,328 @@ impl Vmm {
                 }));
         }
 
-        // --- step ⑤: load update ---
         self.recorder.set_parent(Some(EventKind::ResumeLoadUpdate));
         let load_ns = if mode.uses_coalescing() {
-            let _alloc = AllocScope::enter(AllocPhase::Coalesce);
-            let rq = paused.ull_rq.expect("coalescing pause assigned a queue");
-            let coalesced = paused.coalesced.expect("coalescing pause precomputed");
-            // Chaos: poisoned coalescing factors (corrupted between pause
-            // and resume).
-            let poison = self.injector.should_inject(FaultSite::CoalescePoisoned);
-            let coalesced = match poison {
-                Some(_) => {
-                    self.note_fault(FaultSite::CoalescePoisoned);
-                    coalesced.poisoned()
-                }
-                None => coalesced,
-            };
-            // Step-⑤ safety net: validate the precomputed factors before
-            // the one-shot multiply-add; invalid factors degrade to the
-            // vanilla per-vCPU updates (same final load, vanilla latency).
-            if coalesced.is_valid_for(n) {
-                self.sched.load_update_coalesced(rq, coalesced);
-                self.cost.horse_load_ns()
-            } else {
-                self.sched.load_update_per_vcpu(rq, n);
-                let vanilla_ns = self.cost.vanilla_load_ns(u64::from(n));
-                let penalty = (vanilla_ns - self.cost.horse_load_ns()).max(0.0).round() as u64;
-                degradation.coalesce_bypassed = true;
-                degradation.penalty_ns += penalty;
-                self.recorder.count(Counter::HorseFallbacks, 1);
-                self.recorder.instant(EventKind::HorseFallback, 0, penalty);
-                if let Some(fault) = poison {
-                    self.injector.resolve(
-                        fault,
-                        RecoveryOutcome::CoalesceBypassed {
-                            vcpus: u64::from(n),
-                        },
-                    );
-                }
-                vanilla_ns
-            }
+            let rq = ull_rq.expect("coalescing pause assigned a queue");
+            let coalesced = coalesced.expect("coalescing pause precomputed");
+            self.resume_load_update(rq, coalesced, n, &mut degradation)
         } else {
-            // One lock-protected update per vCPU, on each vCPU's queue.
-            // Persistent find-or-push scratch instead of a BTreeMap: a
-            // sandbox lands on a handful of queues, and the map's node
-            // allocations were the last heap traffic on the warm path.
-            // Sorting by queue id preserves the map's update order.
-            let mut per_rq = std::mem::take(&mut self.scratch.per_rq);
-            if per_rq.capacity() > 0 {
-                note_buffer_recycled();
-            }
-            for p in &placements {
-                match per_rq.iter_mut().find(|(rq, _)| *rq == p.rq) {
-                    Some((_, count)) => *count += 1,
-                    None => per_rq.push((p.rq, 1)),
-                }
-            }
-            per_rq.sort_unstable_by_key(|(rq, _)| rq.as_usize());
-            for &(rq, count) in &per_rq {
-                self.sched.load_update_per_vcpu(rq, count);
-            }
-            per_rq.clear();
-            self.scratch.per_rq = per_rq;
-            self.cost.vanilla_load_ns(u64::from(n))
+            self.resume_per_vcpu_load(&placements, n)
         };
-        let load_dur = load_ns.round() as u64;
-        breakdown.set(ResumeStep::LoadUpdate, load_dur);
+        breakdown.set(ResumeStep::LoadUpdate, load_ns.round() as u64);
         self.recorder.set_parent(base_ctx.parent);
 
-        let finalize_dur = self.cost.finalize_ns.round() as u64;
-        breakdown.set(ResumeStep::Finalize, finalize_dur);
+        let finalize_ns = self.resume_finalize(id, ull_rq, saved_vcpus, placements);
+        breakdown.set(ResumeStep::Finalize, finalize_ns);
 
-        // Post-pipeline bookkeeping.
-        if let Some(rq) = paused.ull_rq {
+        self.stats.resumes_by_mode[mode as usize] += 1;
+        self.stats.resume_ns_by_mode[mode as usize] += breakdown.total_ns();
+        if self.recorder.is_enabled() {
+            let steps = ResumeStep::ALL.map(|s| (s.event_kind(), breakdown.get(s)));
+            self.record_steps(EventKind::Resume, id, resume_start, base_ctx, steps);
+            let counter = match mode {
+                ResumeMode::Vanilla => Counter::ResumesVanil,
+                ResumeMode::Ppsm => Counter::ResumesPpsm,
+                ResumeMode::Coal => Counter::ResumesCoal,
+                ResumeMode::Horse => Counter::ResumesHorse,
+            };
+            self.recorder.count(counter, 1);
+            self.recorder.gauge_add(Gauge::QueuedVcpus, i64::from(n));
+        }
+        Ok(ResumeOutcome {
+            mode,
+            breakdown,
+            merge,
+            degradation,
+        })
+    }
+
+    /// `ResumeSanity`: `id` is paused with exactly what `mode` consumes.
+    /// Returns the uLL queue it was assigned.
+    fn resume_sanity(&self, id: SandboxId, mode: ResumeMode) -> Result<Option<RqId>, VmmError> {
+        self.expect_state(id, SandboxState::Paused)?;
+        let paused = self.sandboxes[&id.as_u64()]
+            .paused
+            .as_ref()
+            .expect("paused sandboxes carry paused state");
+        let p = paused.policy;
+        if mode.uses_ppsm() != p.precompute_merge || mode.uses_coalescing() != p.precompute_coalesce
+        {
+            return Err(VmmError::ModeMismatch { id, mode });
+        }
+        Ok(paused.ull_rq)
+    }
+
+    /// `ResumeSortedMerge` through 𝒫²𝒮ℳ: splices a verified plan in on
+    /// the VMM's worker pool, or falls back to the vanilla sorted merge.
+    /// Returns the step's modelled ns and, for a splice, its report.
+    fn resume_sorted_merge(
+        &mut self,
+        rq: RqId,
+        mut plan: MergePlan,
+        n: u32,
+        degradation: &mut ResumeDegradation,
+    ) -> (f64, Option<MergeReport>) {
+        let splices = plan.splice_count();
+        let plan_faults = self.inject_plan_faults(&mut plan);
+        // Step-④ safety net: *always* verify the plan against its queue
+        // before splicing — a corrupted plan must never reach the splice
+        // pool. On the clean path the walk is folded into the step-③
+        // sanity budget.
+        if plan
+            .check_consistent(self.sched.arena(), self.sched.queue_list(rq))
+            .is_ok()
+        {
+            debug_assert!(
+                plan_faults.is_empty(),
+                "corrupted plans must fail verification"
+            );
+            let rescue_ns = self.rescue_stragglers(splices, degradation);
+            // Parked threads when the pool is parallel, this thread by
+            // default; the head splice is applied here.
+            {
+                let staged = plan
+                    .stage(self.sched.queue_list(rq))
+                    .expect("stage repeats check_consistent's first two checks");
+                self.pool.run(
+                    self.sched.arena(),
+                    &staged,
+                    &self.watchdog,
+                    self.wake_emulation_nanos,
+                );
+            }
+            let (report, bufs) = self.sched.ull_finish_staged(rq, plan);
+            self.scratch.plans.push(bufs);
+            let ns = self.cost.horse_merge_ns(splices) + rescue_ns as f64;
+            return (ns, Some(report));
+        }
+        // Degraded: reconstruct A from the plan (exact — `into_list`
+        // ignores the corruptible metadata) and run the vanilla sorted
+        // merge into the queue. Same queue contents as a successful
+        // splice, vanilla latency.
+        let (list, bufs) = plan.into_list_recycling(self.sched.arena());
+        self.scratch.plans.push(bufs);
+        let before = self.sched.arena_stats(); // time only the fallback walk
+        let merged = self.sched.fallback_merge(rq, list);
+        assert_eq!(merged as u32, n, "fallback must merge all of A");
+        let ops = self.sched.arena_stats() - before;
+        let vanilla_ns = self.cost.vanilla_merge_ns(ops);
+        degradation.plan_fallback = true;
+        let penalty_ns =
+            self.note_fallback(vanilla_ns, self.cost.horse_merge_ns(splices), degradation);
+        for fault in plan_faults {
+            self.injector.resolve(
+                fault,
+                RecoveryOutcome::FellBackToVanillaMerge { penalty_ns },
+            );
+        }
+        (vanilla_ns, None)
+    }
+
+    /// Chaos: the stale- and corrupt-plan injections of step ④. Corruption
+    /// is metadata-only ([`PlanCorruption`]), so verification detects it
+    /// while `into_list` still reconstructs A exactly — the fallback is
+    /// sound by construction. Returns the faults that corrupted the plan;
+    /// one that found nothing to corrupt is resolved as a no-op.
+    fn inject_plan_faults(&self, plan: &mut MergePlan) -> Vec<FaultId> {
+        let mut plan_faults = Vec::new();
+        for site in [FaultSite::ResumePlanStale, FaultSite::ResumePlanCorrupt] {
+            let Some(fault) = self.injector.should_inject(site) else {
+                continue;
+            };
+            self.note_fault(site);
+            let preferred = match site {
+                FaultSite::ResumePlanStale => PlanCorruption::StaleBHead,
+                _ if self.injector.arrivals_at(site) % 2 == 0 => PlanCorruption::TruncatedArrayB,
+                _ => PlanCorruption::AnchorSkew,
+            };
+            let applied = plan.corrupt(preferred)
+                || PlanCorruption::ALL
+                    .into_iter()
+                    .any(|c| c != preferred && plan.corrupt(c));
+            if applied {
+                plan_faults.push(fault);
+            } else {
+                self.injector.resolve(
+                    fault,
+                    RecoveryOutcome::FellBackToVanillaMerge { penalty_ns: 0 },
+                );
+            }
+        }
+        plan_faults
+    }
+
+    /// Chaos: straggling or dead splice threads. The watchdog reclaims
+    /// their splice points for the rest of the merge (same splices, same
+    /// pool). Returns the latency the rescue adds to step ④.
+    fn rescue_stragglers(&self, splices: usize, degradation: &mut ResumeDegradation) -> u64 {
+        let straggler = self.injector.should_inject(FaultSite::SpliceStraggler);
+        let death = self.injector.should_inject(FaultSite::SpliceThreadDeath);
+        let lost = usize::from(straggler.is_some()) + usize::from(death.is_some());
+        if lost == 0 {
+            return 0;
+        }
+        let rescue = self.watchdog.plan_rescue(splices, lost);
+        // Rescued splices re-run sequentially: one unlink plus one link
+        // per splice point, ptr-write bound.
+        let per_splice_ns = 2.0 * self.cost.ptr_write_ns;
+        let penalty = if straggler.is_some() {
+            // A straggler makes the merge wait out the full budget; a
+            // dead thread is detected immediately.
+            self.watchdog
+                .rescue_penalty_ns(rescue.rescued_splices, per_splice_ns)
+        } else {
+            (rescue.rescued_splices as f64 * per_splice_ns).round() as u64
+        };
+        let rescued_splices = rescue.rescued_splices as u64;
+        for (fault, site) in [
+            (straggler, FaultSite::SpliceStraggler),
+            (death, FaultSite::SpliceThreadDeath),
+        ] {
+            if let Some(fault) = fault {
+                self.note_fault(site);
+                self.injector
+                    .resolve(fault, RecoveryOutcome::StragglerRescued { rescued_splices });
+            }
+        }
+        degradation.straggler_rescued_splices = rescued_splices as u32;
+        degradation.penalty_ns += penalty;
+        self.recorder.count(Counter::StragglerRescues, 1);
+        self.recorder
+            .instant(EventKind::StragglerRescue, 0, rescued_splices);
+        penalty
+    }
+
+    /// Charges and notes a HORSE step that ran in its vanilla form.
+    /// Returns the penalty: the latency over the clean step.
+    fn note_fallback(
+        &self,
+        vanilla_ns: f64,
+        horse_ns: f64,
+        degradation: &mut ResumeDegradation,
+    ) -> u64 {
+        let penalty = (vanilla_ns - horse_ns).max(0.0).round() as u64;
+        degradation.penalty_ns += penalty;
+        self.recorder.count(Counter::HorseFallbacks, 1);
+        self.recorder.instant(EventKind::HorseFallback, 0, penalty);
+        penalty
+    }
+
+    /// Placement recovery (untimed): reads the node handles of `id`'s
+    /// vCPUs back from `rq` for the next pause.
+    fn recover_placements(&self, id: SandboxId, rq: RqId, placements: &mut Vec<VcpuPlacement>) {
+        for (node, _, vcpu) in self.sched.queue_list(rq).iter(self.sched.arena()) {
+            if vcpu.sandbox == id {
+                placements.push(VcpuPlacement {
+                    rq,
+                    node,
+                    vcpu: *vcpu,
+                });
+            }
+        }
+    }
+
+    /// `ResumeSortedMerge` without 𝒫²𝒮ℳ: one sorted insert per vCPU.
+    /// Vanilla scatters across general queues; coal concentrates on the
+    /// assigned ull_runqueue (coalescing requires a single target queue,
+    /// §4.2).
+    fn resume_insert_vcpus(
+        &mut self,
+        ull_rq: Option<RqId>,
+        saved: &[(i64, Vcpu)],
+        placements: &mut Vec<VcpuPlacement>,
+    ) -> f64 {
+        let before = self.sched.arena_stats();
+        for &(credit, vcpu) in saved {
+            let rq = ull_rq.unwrap_or_else(|| self.sched.least_loaded_general());
+            let node = self.sched.enqueue_vcpu(rq, credit, vcpu);
+            placements.push(VcpuPlacement { rq, node, vcpu });
+            // Wake-IPI emulation (wall-clock only): vanilla wakes each
+            // vCPU on the resuming thread as it is re-inserted, so the
+            // real latency grows one sleep per vCPU.
+            if self.wake_emulation_nanos > 0 {
+                std::thread::sleep(std::time::Duration::from_nanos(self.wake_emulation_nanos));
+            }
+        }
+        self.cost
+            .vanilla_merge_ns(self.sched.arena_stats() - before)
+    }
+
+    /// `ResumeLoadUpdate` with coalescing: validates the factors the pause
+    /// precomputed, then applies them as one multiply-add. Invalid factors
+    /// take the per-vCPU bypass (same final load, vanilla latency).
+    fn resume_load_update(
+        &mut self,
+        rq: RqId,
+        coalesced: CoalescedUpdate,
+        n: u32,
+        degradation: &mut ResumeDegradation,
+    ) -> f64 {
+        let _alloc = AllocScope::enter(AllocPhase::Coalesce);
+        // Chaos: poisoned coalescing factors (corrupted between pause and
+        // resume).
+        let poison = self.injector.should_inject(FaultSite::CoalescePoisoned);
+        let coalesced = match poison {
+            Some(_) => {
+                self.note_fault(FaultSite::CoalescePoisoned);
+                coalesced.poisoned()
+            }
+            None => coalesced,
+        };
+        if coalesced.is_valid_for(n) {
+            self.sched.load_update_coalesced(rq, coalesced);
+            return self.cost.horse_load_ns();
+        }
+        self.sched.load_update_per_vcpu(rq, n);
+        let vanilla_ns = self.cost.vanilla_load_ns(u64::from(n));
+        degradation.coalesce_bypassed = true;
+        self.note_fallback(vanilla_ns, self.cost.horse_load_ns(), degradation);
+        if let Some(fault) = poison {
+            self.injector.resolve(
+                fault,
+                RecoveryOutcome::CoalesceBypassed {
+                    vcpus: u64::from(n),
+                },
+            );
+        }
+        vanilla_ns
+    }
+
+    /// `ResumeLoadUpdate` without coalescing: one lock-protected update
+    /// per vCPU, on each vCPU's queue. Persistent find-or-push scratch
+    /// instead of a BTreeMap: a sandbox lands on a handful of queues, and
+    /// the map's node allocations were the last heap traffic on the warm
+    /// path. Sorting by queue id preserves the map's update order.
+    fn resume_per_vcpu_load(&mut self, placements: &[VcpuPlacement], n: u32) -> f64 {
+        let mut per_rq = std::mem::take(&mut self.scratch.per_rq);
+        if per_rq.capacity() > 0 {
+            note_buffer_recycled();
+        }
+        for p in placements {
+            match per_rq.iter_mut().find(|(rq, _)| *rq == p.rq) {
+                Some((_, count)) => *count += 1,
+                None => per_rq.push((p.rq, 1)),
+            }
+        }
+        per_rq.sort_unstable_by_key(|(rq, _)| rq.as_usize());
+        for &(rq, count) in &per_rq {
+            self.sched.load_update_per_vcpu(rq, count);
+        }
+        per_rq.clear();
+        self.scratch.per_rq = per_rq;
+        self.cost.vanilla_load_ns(u64::from(n))
+    }
+
+    /// `ResumeFinalize`: the sandbox runs on `placements` and becomes its
+    /// uLL queue's resident; the save-buffer is recycled.
+    fn resume_finalize(
+        &mut self,
+        id: SandboxId,
+        ull_rq: Option<RqId>,
+        mut saved: Vec<(i64, Vcpu)>,
+        placements: Vec<VcpuPlacement>,
+    ) -> u64 {
+        if let Some(rq) = ull_rq {
             self.sched.release_ull_queue(rq);
             let on_rq = &mut self.plans_on[rq.as_usize()];
             on_rq.paused.retain(|s| *s != id);
@@ -1194,75 +1202,12 @@ impl Vmm {
             // first.
             on_rq.resident = Some(id);
         }
-        // Recycle the save-buffer for the next pause.
-        let mut saved = paused.saved_vcpus;
         saved.clear();
         self.scratch.saved.push(saved);
         let sb = self.sandboxes.get_mut(&id.as_u64()).expect("present");
         sb.placements = placements;
         sb.set_state(SandboxState::Running);
-
-        let mode_idx = ResumeMode::ALL
-            .iter()
-            .position(|m| *m == mode)
-            .expect("known mode");
-        self.stats.resumes_by_mode[mode_idx] += 1;
-        self.stats.resume_ns_by_mode[mode_idx] += breakdown.total_ns();
-
-        if self.recorder.is_enabled() {
-            // One batched claim for the six step spans plus the parent:
-            // starts derive from the cursor laid down during execution.
-            const STEPS: [(ResumeStep, EventKind); 6] = [
-                (ResumeStep::ParseInput, EventKind::ResumeParse),
-                (ResumeStep::AcquireLock, EventKind::ResumeLock),
-                (ResumeStep::SanityChecks, EventKind::ResumeSanity),
-                (ResumeStep::SortedMerge, EventKind::ResumeSortedMerge),
-                (ResumeStep::LoadUpdate, EventKind::ResumeLoadUpdate),
-                (ResumeStep::Finalize, EventKind::ResumeFinalize),
-            ];
-            let mut events = [horse_telemetry::Event {
-                kind: EventKind::Resume,
-                track: 0,
-                start_ns: resume_start,
-                dur_ns: breakdown.total_ns(),
-                arg: id.as_u64(),
-                invocation: base_ctx.invocation,
-                parent: base_ctx.parent,
-            }; 7];
-            let mut cursor = resume_start;
-            for (i, (step, kind)) in STEPS.iter().enumerate() {
-                let dur = breakdown.get(*step);
-                events[i] = horse_telemetry::Event {
-                    kind: *kind,
-                    track: 0,
-                    start_ns: cursor,
-                    dur_ns: dur,
-                    arg: 0,
-                    invocation: base_ctx.invocation,
-                    parent: Some(EventKind::Resume),
-                };
-                cursor += dur;
-            }
-            self.recorder.set_now(cursor);
-            self.recorder.span_batch(events);
-            self.recorder.count(
-                match mode {
-                    ResumeMode::Vanilla => Counter::ResumesVanil,
-                    ResumeMode::Ppsm => Counter::ResumesPpsm,
-                    ResumeMode::Coal => Counter::ResumesCoal,
-                    ResumeMode::Horse => Counter::ResumesHorse,
-                },
-                1,
-            );
-            self.recorder.gauge_add(Gauge::QueuedVcpus, i64::from(n));
-        }
-
-        Ok(ResumeOutcome {
-            mode,
-            breakdown,
-            merge: merge_report,
-            degradation,
-        })
+        self.cost.finalize_ns.round() as u64
     }
 
     /// Destroys a sandbox from any non-destroyed state, releasing every
@@ -1278,9 +1223,7 @@ impl Vmm {
             .ok_or(VmmError::NotFound(id))?;
         let placements = std::mem::take(&mut sb.placements);
         let paused = sb.paused.take();
-        sb.set_state(SandboxState::Destroyed);
-        self.recorder
-            .gauge_add(Gauge::QueuedVcpus, -(placements.len() as i64));
+        let queued = placements.len();
         let mut touched: Vec<RqId> = Vec::new();
         for p in placements {
             self.sched.dequeue_vcpu(p.rq, p.node);
@@ -1292,8 +1235,7 @@ impl Vmm {
         self.vacate(&mut touched, id);
         if let Some(paused) = paused {
             if let Some(plan) = paused.plan {
-                let mut list = plan.into_list(self.sched.arena());
-                list.drain_all(self.sched.arena_mut());
+                self.free_plan(plan);
             }
             if let Some(rq) = paused.ull_rq {
                 self.sched.release_ull_queue(rq);
@@ -1305,6 +1247,8 @@ impl Vmm {
         }
         self.sandboxes.remove(&id.as_u64());
         self.stats.destroyed += 1;
+        self.recorder
+            .gauge_add(Gauge::QueuedVcpus, -(queued as i64));
         self.recorder
             .gauge(Gauge::LiveSandboxes, self.sandboxes.len() as u64);
         Ok(())
@@ -1468,10 +1412,8 @@ impl Vmm {
                     state.ull_rq = None;
                     state.coalesced = None;
                     state.policy = PausePolicy::vanilla();
-                    let plan = state.plan.take();
-                    if let Some(plan) = plan {
-                        let mut list = plan.into_list(self.sched.arena());
-                        list.drain_all(self.sched.arena_mut());
+                    if let Some(plan) = state.plan.take() {
+                        self.free_plan(plan);
                     }
                     report.degraded += 1;
                 }
@@ -1654,6 +1596,37 @@ impl Vmm {
     fn vacate(&mut self, touched: &mut Vec<RqId>, id: SandboxId) {
         touched.dedup();
         touched.retain(|rq| self.plans_on[rq.as_usize()].resident.take() != Some(id));
+    }
+
+    /// Chaos: contains a crash of `id`. `destroy` unwinds whatever it
+    /// still holds (queue nodes, plan, queue assignment), so containment
+    /// *is* a destroy.
+    fn contain_crash(&mut self, id: SandboxId, fault: FaultId, mid_resume: bool) -> VmmError {
+        self.note_fault(if mid_resume {
+            FaultSite::CrashMidResume
+        } else {
+            FaultSite::CrashMidPause
+        });
+        self.destroy(id).expect("the crashed sandbox exists");
+        self.injector
+            .resolve(fault, RecoveryOutcome::CrashContained { mid_resume });
+        VmmError::Crashed { id, mid_resume }
+    }
+
+    /// Frees the merge-list nodes of a plan that will never be spliced.
+    fn free_plan(&mut self, plan: MergePlan) {
+        let mut list = plan.into_list(self.sched.arena());
+        list.drain_all(self.sched.arena_mut());
+    }
+
+    /// Rebuilds the plans on each queue [`Vmm::vacate`] left in
+    /// `touched`, then returns the buffer to the scratch pool.
+    fn rebuild_touched(&mut self, mut touched: Vec<RqId>, exclude: Option<SandboxId>) {
+        for &rq in &touched {
+            self.rebuild_plans_on(rq, exclude);
+        }
+        touched.clear();
+        self.scratch.touched = touched;
     }
 
     /// Rebuilds the plans of every paused sandbox assigned to `rq`
