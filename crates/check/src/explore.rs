@@ -2,13 +2,13 @@
 //!
 //! Each virtual worker is a real OS thread (so the pool's per-thread
 //! shard pinning behaves exactly as in production), but workers only
-//! run when the [`stepped`](crate::stepped) driver grants them a step,
+//! run when the [`stepped`] driver grants them a step,
 //! one operation at a time, under a seeded [`SchedulePolicy`].
 //!
 //! Operations execute atomically (one completes before the next is
 //! granted), so the observed execution order *is* a linearization; the
 //! oracle replays it against the relaxed
-//! [`SpecPool`](crate::spec::SpecPool) semantics and
+//! [`SpecPool`] semantics and
 //! additionally checks end-of-run conservation. Any violation is
 //! reported with the seed, the policy, and the full decision sequence —
 //! enough to replay the failing interleaving exactly.

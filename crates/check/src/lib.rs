@@ -10,7 +10,7 @@
 //!   that define what "correct" means;
 //! * [`linearize`] — a bounded Wing–Gong linearizability checker that
 //!   validates recorded concurrent histories of the sharded warm pool
-//!   ([`history`]) against the spec, while [`explore`] generates those
+//!   ([`history`]) against the spec, while [`explore`](mod@explore) generates those
 //!   histories under seeded deterministic schedules (round-robin,
 //!   random, PCT) that replay exactly from a seed;
 //! * [`differential`] — randomized differential oracles driving the

@@ -6,7 +6,7 @@
 //! beside it are deliberately left describing the queue without X. That
 //! is only sound if every other operation on the queue first brings them
 //! up to date (`Vmm::settle`). Several drivers sharing one host interleave
-//! exactly there, so this module steps them the way [`crate::explore`]
+//! exactly there, so this module steps them the way [`crate::explore`](mod@crate::explore)
 //! steps the warm pool: each driver is a script of `Vmm` operations, one
 //! operation per granted step (a step is one `Mutex<Vmm>` critical
 //! section — so the drivers need no threads of their own), and the seeded

@@ -1,7 +1,7 @@
 //! Seeded deterministic interleaving exploration of the
 //! [`SubmissionRing`] — the MPSC ring feeding the batched invoke path.
 //!
-//! Same [`stepped`](crate::stepped) driver as [`crate::explore`]: each
+//! Same [`stepped`] driver as [`crate::explore`](mod@crate::explore): each
 //! producer (and the single consumer) is a real OS thread that only runs
 //! when it is granted a step, and which worker steps next is decided by a
 //! seeded [`SchedulePolicy`]. Operations execute atomically — one `push`

@@ -5,7 +5,7 @@
 //! `SpliceBlock`s → `finish_staged`) claims that splice points are
 //! disjoint, so *any* interleaving of the workers' pointer writes yields
 //! the same queue. This module tests exactly that claim the way
-//! [`crate::explore`] tests the warm pool: each splice worker is a real
+//! [`crate::explore`](mod@crate::explore) tests the warm pool: each splice worker is a real
 //! OS thread holding its own block, but it executes **one splice per
 //! granted step**, and which worker steps next is decided by the seeded
 //! [`SchedulePolicy`] (round-robin / random / PCT). After the last step

@@ -15,8 +15,8 @@
 //!   `d` with provable probability.
 //!
 //! One step completes before the next is granted, so the observed order
-//! *is* a linearization an oracle can replay. [`run`] steps actors that
-//! live on the calling thread; [`run_threaded`] puts each actor on its
+//! *is* a linearization an oracle can replay. `run` steps actors that
+//! live on the calling thread; `run_threaded` puts each actor on its
 //! own OS thread behind a command channel (thread-affine state — the warm
 //! pool's per-thread shard pinning — then behaves as in production) and
 //! stops and joins the threads before it returns. Re-running with the

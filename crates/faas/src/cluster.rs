@@ -632,13 +632,6 @@ impl Cluster {
         self.hosts[id.0].set_retry_policy(retry);
     }
 
-    /// Replaces the warm-path retry budget on every host.
-    pub fn set_retry_policy_all(&mut self, retry: RetryPolicy) {
-        for h in &mut self.hosts {
-            h.set_retry_policy(retry);
-        }
-    }
-
     /// Routes one invocation per the dispatch policy, failing over to the
     /// next host if the chosen host's pool is empty. Returns the serving
     /// host and the record.

@@ -24,7 +24,6 @@ mod registry;
 pub mod replay;
 mod ring;
 mod sharded_pool;
-mod ull_scaler;
 
 pub use cluster::{Cluster, DispatchPolicy, Disposition, HostId, Request};
 pub use invocation::{InvocationRecord, StartStrategy};
@@ -33,4 +32,3 @@ pub use pool::{KeepAlive, PoolStats};
 pub use registry::{FunctionId, FunctionMeta, FunctionRegistry};
 pub use ring::{RingFull, SubmissionRing};
 pub use sharded_pool::{ShardedWarmPool, SHARD_COUNT, SLOTS_PER_SHARD};
-pub use ull_scaler::{UllScaler, UllScalerConfig};

@@ -309,8 +309,8 @@ impl FaasPlatform {
         Some(&row[usize::from(strategy == StartStrategy::Horse)])
     }
 
-    /// Overrides the keep-alive policy of one function's pool (e.g.
-    /// applying a TTL recommended by `horse_traces::stats`).
+    /// Overrides the keep-alive policy of one function's pool (e.g. a
+    /// per-function TTL chosen from its arrival history).
     ///
     /// # Panics
     ///

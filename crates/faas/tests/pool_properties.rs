@@ -1,6 +1,6 @@
-//! Model-based property tests for the warm pool and the uLL scaler.
+//! Model-based property tests for the warm pool.
 
-use horse_faas::{KeepAlive, ShardedWarmPool, UllScaler, UllScalerConfig};
+use horse_faas::{KeepAlive, ShardedWarmPool};
 use horse_sched::SandboxId;
 use horse_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -76,40 +76,5 @@ proptest! {
         }
         let s = pool.stats();
         prop_assert_eq!((s.hits, s.misses, s.evictions), (hits, misses, evictions));
-    }
-
-    /// The scaler's rate always equals the count of in-window triggers
-    /// divided by the window, and the recommendation is its ceiling ratio
-    /// clamped to bounds.
-    #[test]
-    fn scaler_matches_oracle(
-        gaps_ms in proptest::collection::vec(1u64..2_000, 0..80),
-        check_after_ms in 0u64..5_000,
-    ) {
-        let window = SimDuration::from_secs(2);
-        let per_queue = 5.0;
-        let mut scaler = UllScaler::new(UllScalerConfig {
-            window,
-            triggers_per_sec_per_queue: per_queue,
-            min_queues: 1,
-            max_queues: 6,
-        });
-        let mut t = SimTime::ZERO;
-        let mut times = Vec::new();
-        for g in gaps_ms {
-            t += SimDuration::from_millis(g);
-            scaler.observe_trigger(t);
-            times.push(t);
-        }
-        let now = t + SimDuration::from_millis(check_after_ms);
-        let in_window = times
-            .iter()
-            .filter(|&&x| now.since(x) <= window)
-            .count();
-        let expected_rate = in_window as f64 / window.as_secs_f64();
-        prop_assert!((scaler.rate(now) - expected_rate).abs() < 1e-9);
-        let expected_queues =
-            ((expected_rate / per_queue).ceil() as usize).clamp(1, 6);
-        prop_assert_eq!(scaler.recommended_queues(now), expected_queues);
     }
 }

@@ -2,12 +2,10 @@
 //!
 //! Experiment binaries persist their outputs under `results/` so that
 //! EXPERIMENTS.md can reference committed artifacts. This module writes
-//! the three artifact kinds — tables, time series and histograms — as
-//! CSV, plus a tiny manifest describing a run.
+//! tables as CSV, telemetry snapshots as Chrome traces and folded
+//! stacks, and the profiling plane as a Prometheus page.
 
 use crate::report::Table;
-use crate::{Histogram, TimeSeries};
-use std::io::Write;
 use std::path::Path;
 
 /// Writes a [`Table`] as CSV.
@@ -17,57 +15,6 @@ use std::path::Path;
 /// Propagates I/O errors.
 pub fn write_table_csv(path: impl AsRef<Path>, table: &Table) -> std::io::Result<()> {
     std::fs::write(path, table.to_csv())
-}
-
-/// Writes a [`TimeSeries`] as `at_ns,value` CSV.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_series_csv(path: impl AsRef<Path>, series: &TimeSeries) -> std::io::Result<()> {
-    let mut out = Vec::new();
-    writeln!(out, "at_ns,{}", series.name())?;
-    for s in series.samples() {
-        writeln!(out, "{},{}", s.at_ns, s.value)?;
-    }
-    std::fs::write(path, out)
-}
-
-/// Writes a [`Histogram`]'s non-empty buckets as
-/// `bucket_upper_ns,count` CSV with a trailing summary comment.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_histogram_csv(path: impl AsRef<Path>, hist: &Histogram) -> std::io::Result<()> {
-    let mut out = Vec::new();
-    writeln!(out, "bucket_upper_ns,count")?;
-    for (upper, count) in hist.iter_buckets() {
-        writeln!(out, "{upper},{count}")?;
-    }
-    writeln!(
-        out,
-        "# n={} mean={:.1} p95={} p99={}",
-        hist.len(),
-        hist.mean(),
-        hist.percentile(95.0),
-        hist.percentile(99.0)
-    )?;
-    std::fs::write(path, out)
-}
-
-/// Writes a small run manifest (key/value lines) describing an
-/// experiment invocation — seed, parameters, and the artifacts produced.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_manifest(path: impl AsRef<Path>, entries: &[(&str, String)]) -> std::io::Result<()> {
-    let mut out = Vec::new();
-    for (k, v) in entries {
-        writeln!(out, "{k}={v}")?;
-    }
-    std::fs::write(path, out)
 }
 
 /// Writes a telemetry snapshot as Chrome trace-event JSON
@@ -116,23 +63,6 @@ pub fn write_prometheus_page(
     )
 }
 
-/// Writes the same profiling state as deterministic JSON (the
-/// machine-readable twin of [`write_prometheus_page`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_profile_json(
-    path: impl AsRef<Path>,
-    snapshot: &horse_telemetry::TraceSnapshot,
-    alloc: &[horse_telemetry::PhaseAllocStats],
-    contention: &[horse_telemetry::SiteStats],
-) -> std::io::Result<()> {
-    let mut text = crate::prometheus::profile_json(snapshot, alloc, contention).render();
-    text.push('\n');
-    std::fs::write(path, text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,32 +85,7 @@ mod tests {
     }
 
     #[test]
-    fn series_csv_has_header_and_rows() {
-        let mut s = TimeSeries::new("cpu");
-        s.push(0, 1.5);
-        s.push(500, 2.5);
-        let path = tmp("series.csv");
-        write_series_csv(&path, &s).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("at_ns,cpu\n"));
-        assert!(content.contains("500,2.5"));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn histogram_csv_has_summary() {
-        let mut h = Histogram::new();
-        h.record_n(100, 10);
-        let path = tmp("hist.csv");
-        write_histogram_csv(&path, &h).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("bucket_upper_ns,count\n"));
-        assert!(content.contains("# n=10"));
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn prometheus_and_json_twins_agree_on_state() {
+    fn prometheus_page_is_written_with_state() {
         let recorder = horse_telemetry::Recorder::new(horse_telemetry::TelemetryConfig {
             shards: 1,
             capacity_per_shard: 64,
@@ -191,37 +96,11 @@ mod tests {
         let contention = horse_telemetry::contention::snapshot();
 
         let prom_path = tmp("profile.prom");
-        let json_path = tmp("profile.json");
         write_prometheus_page(&prom_path, &snap, &alloc, &contention).unwrap();
-        write_profile_json(&json_path, &snap, &alloc, &contention).unwrap();
 
         let prom = std::fs::read_to_string(&prom_path).unwrap();
         assert!(prom.contains("horse_pool_hits_total 4\n"));
         assert!(prom.ends_with('\n'));
-
-        let json = std::fs::read_to_string(&json_path).unwrap();
-        let value = horse_telemetry::json::parse(json.trim_end()).unwrap();
-        assert_eq!(
-            value
-                .get("counters")
-                .and_then(|c| c.get("pool_hits"))
-                .and_then(|v| v.as_f64()),
-            Some(4.0)
-        );
-        assert!(value
-            .get("dropped_events")
-            .and_then(|d| d.get("lossy"))
-            .is_some());
         std::fs::remove_file(prom_path).ok();
-        std::fs::remove_file(json_path).ok();
-    }
-
-    #[test]
-    fn manifest_is_key_value_lines() {
-        let path = tmp("manifest.txt");
-        write_manifest(&path, &[("seed", "42".into()), ("vcpus", "36".into())]).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "seed=42\nvcpus=36\n");
-        std::fs::remove_file(path).ok();
     }
 }

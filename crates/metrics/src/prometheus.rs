@@ -324,94 +324,6 @@ pub fn render_profile_page(
     page.finish()
 }
 
-/// Renders the same profiling state as [`render_profile_page`] as a
-/// deterministic JSON document — the machine-readable twin of the text
-/// page, for tooling that would rather not parse the exposition format.
-///
-/// Key order is deterministic (`BTreeMap`), so two snapshots of the
-/// same state render byte-identically.
-pub fn profile_json(
-    snap: &TraceSnapshot,
-    alloc: &[PhaseAllocStats],
-    contention: &[SiteStats],
-) -> horse_telemetry::json::JsonValue {
-    use horse_telemetry::json::JsonValue;
-    use std::collections::BTreeMap;
-
-    let num = |v: u64| JsonValue::Number(v as f64);
-    let kv = |pairs: &[(&str, u64)]| {
-        JsonValue::Object(
-            pairs
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), num(*v)))
-                .collect(),
-        )
-    };
-
-    let mut root = BTreeMap::new();
-    root.insert(
-        "counters".to_string(),
-        kv(&snap
-            .counters
-            .iter()
-            .map(|&(n, v)| (n, v))
-            .collect::<Vec<_>>()),
-    );
-    root.insert(
-        "gauges".to_string(),
-        kv(&snap.gauges.iter().map(|&(n, v)| (n, v)).collect::<Vec<_>>()),
-    );
-
-    let mut dropped = BTreeMap::new();
-    dropped.insert("total".to_string(), num(snap.dropped));
-    dropped.insert(
-        "by_shard".to_string(),
-        JsonValue::Array(snap.dropped_by_shard.iter().map(|&v| num(v)).collect()),
-    );
-    dropped.insert("lossy".to_string(), JsonValue::Bool(snap.is_lossy()));
-    root.insert("dropped_events".to_string(), JsonValue::Object(dropped));
-
-    let mut alloc_obj = BTreeMap::new();
-    for s in alloc {
-        alloc_obj.insert(
-            s.phase.name().to_string(),
-            kv(&[
-                ("allocs", s.allocs),
-                ("deallocs", s.deallocs),
-                ("bytes_allocated", s.bytes_allocated),
-                ("bytes_freed", s.bytes_freed),
-            ]),
-        );
-    }
-    root.insert("alloc".to_string(), JsonValue::Object(alloc_obj));
-
-    let mut contention_obj = BTreeMap::new();
-    for s in contention {
-        let mut site = BTreeMap::new();
-        site.insert("acquisitions".to_string(), num(s.acquisitions));
-        site.insert("wait_ns_total".to_string(), num(s.wait_ns_total));
-        site.insert("cas_retries".to_string(), num(s.cas_retries));
-        site.insert(
-            "wait_hist".to_string(),
-            JsonValue::Array(
-                (0..WAIT_BUCKETS)
-                    .filter(|&i| s.wait_hist[i] > 0)
-                    .map(|i| {
-                        JsonValue::Array(vec![
-                            num(contention::wait_bucket_upper_ns(i)),
-                            num(s.wait_hist[i]),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-        contention_obj.insert(s.site.name().to_string(), JsonValue::Object(site));
-    }
-    root.insert("contention".to_string(), JsonValue::Object(contention_obj));
-
-    JsonValue::Object(root)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

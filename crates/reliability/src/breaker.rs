@@ -494,6 +494,23 @@ mod tests {
     }
 
     #[test]
+    fn full_64_outcome_window_trips_at_its_last_sample() {
+        // The documented maximum: the window fills the whole u64 bitset,
+        // so the 64th outcome is the first the floor trusts.
+        let b = Breaker::new();
+        let cfg = BreakerConfig {
+            window: 64,
+            min_samples: 64,
+            ..cfg()
+        };
+        for tick in 0..63 {
+            assert_eq!(b.record(false, tick, &cfg), None);
+        }
+        assert_eq!(b.record(false, 63, &cfg), Some(BreakerTransition::Opened));
+        assert_eq!(b.state(), BreakerState::Open);
+    }
+
+    #[test]
     fn forced_open_never_allows() {
         let cfg = BreakerConfig {
             forced_open: true,

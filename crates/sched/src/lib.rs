@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dispatch;
-mod energy;
 mod flavor;
 mod governor;
 mod load;
@@ -29,7 +28,6 @@ mod topology;
 mod vcpu;
 mod watchdog;
 
-pub use energy::{EnergyLedger, PowerModel};
 pub use flavor::{SchedFlavor, CFS_WEIGHT_BASELINE, CREDIT2_INIT};
 pub use governor::{Governor, GovernorPolicy, PState};
 pub use load::{LoadTracker, RqLoad, PELT_DECAY, VCPU_LOAD_CONTRIB};

@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 mod arrivals;
-pub mod stats;
 mod synth;
 mod trace;
 

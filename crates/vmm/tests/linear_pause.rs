@@ -202,6 +202,33 @@ fn a_144_vcpu_pause_steps_over_at_most_n_plus_q_nodes() {
     }
 }
 
+/// Equal credits leave the order to the pause sort's `vcpu.id`
+/// tie-break: a sandbox spread over two uLL queues is dequeued queue by
+/// queue, yet its resume lays the tied vCPUs out in id order.
+#[test]
+fn tied_credits_resume_in_vcpu_id_order() {
+    let config_2ull = SchedConfig {
+        ull_queues: 2,
+        ..sched_config()
+    };
+    let mut vmm = Vmm::new(config_2ull, CostModel::calibrated());
+    let id = vmm.create(config(6, true));
+    vmm.start_with_credits(id, &[0; 6]).unwrap();
+    let mut spread = vmm.sandbox(id).unwrap().placement_queues();
+    spread.dedup();
+    assert!(spread.len() > 2, "start interleaves the two uLL queues");
+    vmm.pause(id, PausePolicy::horse()).unwrap();
+    vmm.resume(id, ResumeMode::Horse).unwrap();
+    let rq = vmm.sandbox(id).unwrap().placement_queues()[0];
+    let ids: Vec<u64> = queue_order(vmm.sched(), rq)
+        .iter()
+        .filter(|v| v.2 == id.as_u64())
+        .map(|v| v.1)
+        .collect();
+    assert_eq!(ids.len(), 6, "one uLL queue holds the resumed sandbox");
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+}
+
 /// A non-uLL sandbox spreads over the general queues (the `Warm` path):
 /// one walk per queue it sits on, each bounded by that queue's length.
 #[test]

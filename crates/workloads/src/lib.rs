@@ -1,8 +1,8 @@
 //! # horse-workloads — the paper's function payloads
 //!
 //! The paper evaluates three categories of ultra-low-latency (uLL)
-//! workloads (§2) plus two longer-running occupants (§5.2/§5.4). All five
-//! are implemented here as real, executable Rust functions:
+//! workloads (§2) plus a long-running occupant (§5.4). All four are
+//! implemented here as real, executable Rust functions:
 //!
 //! | Category | Function | Paper execution time |
 //! |----------|----------|----------------------|
@@ -10,12 +10,9 @@
 //! | 2 (≤ 1 µs)  | [`NatTable`] — header rewriting NAT        | 1.5 µs |
 //! | 3 (100s ns) | [`index_filter`] — indexes above threshold | 0.7 µs |
 //! | long        | [`Thumbnail`] — image downscale (SeBS-like)| ≥ 100 ms |
-//! | background  | [`CpuStress`] — sysbench-like prime burner | continuous |
 //!
-//! Three further uLL services from the paper's §1 motivation are also
-//! implemented: a small-object in-memory KV store ([`MicroKv`]), an int8
-//! MLP per-request scorer ([`MlInference`]) and a limit-order-book
-//! matcher ([`OrderBook`]).
+//! §5.2's sysbench CPU-stress sandboxes are not executed: the overhead
+//! experiment (`horse_faas::overhead`) models each one as a busy core.
 //!
 //! The paper implements the uLL functions in Node.JS; re-implemented in
 //! Rust they are faster in absolute terms, so the *simulated* service
@@ -26,23 +23,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cpu_stress;
 mod filter;
 mod firewall;
-mod kv;
-mod ml_inference;
 mod nat;
-mod orderbook;
 mod packet;
 mod thumbnail;
 
-pub use cpu_stress::CpuStress;
 pub use filter::{index_filter, IndexFilter, FILTER_ARRAY_LEN};
 pub use firewall::{Firewall, FirewallRule, Verdict};
-pub use kv::{KvStats, MicroKv, ValueTooLargeError, MAX_VALUE_BYTES};
-pub use ml_inference::MlInference;
 pub use nat::{NatError, NatRule, NatTable};
-pub use orderbook::{Fill, OrderBook, Side};
 pub use packet::{Protocol, RequestHeader};
 pub use thumbnail::{Image, Thumbnail};
 

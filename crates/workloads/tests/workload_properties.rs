@@ -1,77 +1,13 @@
-//! Property tests for the workload implementations: conservation laws of
-//! the order book, model-based KV behaviour, and firewall/NAT totality.
+//! Property tests for the workload implementations: firewall/NAT
+//! totality and index-filter behaviour.
 
-use bytes::Bytes;
 use horse_workloads::{
-    index_filter, Firewall, FirewallRule, MicroKv, NatRule, NatTable, OrderBook, Protocol,
-    RequestHeader, Side,
+    index_filter, Firewall, FirewallRule, NatRule, NatTable, Protocol, RequestHeader,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Order-book conservation: every unit of quantity submitted is
-    /// either filled (counted once on the taker side) or resting.
-    #[test]
-    fn order_book_conserves_quantity(
-        orders in proptest::collection::vec(
-            (any::<bool>(), 90u64..110, 1u64..20),
-            1..200
-        ),
-    ) {
-        let mut book = OrderBook::new();
-        let mut submitted = 0u64;
-        let mut filled = 0u64;
-        for (buy, price, qty) in orders {
-            let side = if buy { Side::Buy } else { Side::Sell };
-            submitted += qty;
-            filled += book
-                .submit(side, price, qty)
-                .iter()
-                .map(|f| f.quantity)
-                .sum::<u64>();
-        }
-        let resting = book.depth(Side::Buy) + book.depth(Side::Sell);
-        // Each fill consumes equal taker and maker quantity.
-        prop_assert_eq!(submitted, 2 * filled + resting);
-        // The book never crosses at rest.
-        if let (Some(bid), Some(ask)) = (book.best_bid(), book.best_ask()) {
-            prop_assert!(bid < ask, "crossed book: bid {bid} >= ask {ask}");
-        }
-    }
-
-    /// The KV store against a HashMap model under arbitrary op sequences.
-    #[test]
-    fn kv_matches_hashmap_model(
-        ops in proptest::collection::vec(
-            (0u8..3, 0u8..16, proptest::collection::vec(any::<u8>(), 0..32)),
-            0..150
-        ),
-    ) {
-        let mut kv = MicroKv::new();
-        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
-        for (op, key, value) in ops {
-            let key = format!("k{key}");
-            match op {
-                0 => {
-                    kv.put(&key, Bytes::from(value.clone())).unwrap();
-                    model.insert(key, value);
-                }
-                1 => {
-                    let got = kv.get(&key).map(|b| b.to_vec());
-                    prop_assert_eq!(got, model.get(&key).cloned());
-                }
-                _ => {
-                    prop_assert_eq!(kv.delete(&key), model.remove(&key).is_some());
-                }
-            }
-            prop_assert_eq!(kv.len(), model.len());
-        }
-        let total: usize = model.values().map(Vec::len).sum();
-        prop_assert_eq!(kv.value_bytes(), total);
-    }
 
     /// The firewall is total and deterministic: every header gets exactly
     /// one verdict, and any-source rules dominate prefixed ones.

@@ -1,39 +1,12 @@
-//! A day in the life of a FaaS host: cold starts, keep-alive hits and
-//! evictions, snapshot fan-out, trace analytics and uLL-queue scaling —
-//! every platform feature of the reproduction in one narrative run.
+//! A day in the life of a FaaS host: a cold start, warm keep-alive hits,
+//! a TTL eviction, a provisioned HORSE start and a snapshot restore —
+//! every start path of the reproduction in one narrative run.
 //!
 //! Run with: `cargo run --example faas_day_in_life`
 
 use horse::prelude::*;
-use horse_faas::{UllScaler, UllScalerConfig};
-use horse_traces::stats::{function_stats, keep_alive_for_hit_rate, trace_report};
-use horse_vmm::RestoreModel;
-use horse_workloads::Category;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- morning: the operator studies yesterday's trace ---
-    let seeds = SeedFactory::new(1234);
-    let trace = SynthConfig::default().generate(&seeds);
-    let report = trace_report(&trace);
-    println!(
-        "trace: {} functions, {} invocations/day; top-10% functions take {:.0}% of traffic",
-        report.functions,
-        report.invocations,
-        100.0 * report.top_decile_share
-    );
-    let stats = function_stats(&trace);
-    let busiest = stats
-        .iter()
-        .max_by_key(|s| s.invocations)
-        .expect("nonempty");
-    println!(
-        "busiest function: #{} with {} invocations (burstiness CV {:.2})",
-        busiest.function, busiest.invocations, busiest.count_cv
-    );
-    if let Some(ttl) = keep_alive_for_hit_rate(&trace, busiest.function, 0.99) {
-        println!("keep-alive needed for a 99% warm-hit rate on it: {} s", ttl);
-    }
-
     // --- the host comes up ---
     let mut platform = FaasPlatform::new(PlatformConfig::default());
     let ull_cfg = SandboxConfig::builder().vcpus(2).ull(true).build()?;
@@ -42,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // First request of the day: a cold start (1.5 s), leaving a warm
     // sandbox behind.
     let cold = platform.invoke(nat, StartStrategy::Cold)?;
-    println!("\n08:00 cold start: init {} ms", cold.init_ns / 1_000_000);
+    println!("08:00 cold start: init {} ms", cold.init_ns / 1_000_000);
 
     // Steady morning traffic: warm hits.
     platform.advance_to(SimTime::ZERO + SimDuration::from_secs(60));
@@ -72,19 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "14:00 provisioned HORSE start after 1.75 h idle: init {} ns ({}x faster than warm)",
         fast.init_ns,
         (WARM_INIT_REFERENCE_NS / fast.init_ns).max(1)
-    );
-
-    // Afternoon burst: the uLL scaler decides how many reserved queues
-    // the evening host should run.
-    let mut scaler = UllScaler::new(UllScalerConfig::default());
-    let burst_start = platform.now();
-    for i in 0..3_000u64 {
-        scaler.observe_trigger(burst_start + SimDuration::from_micros(i * 3_000));
-    }
-    let after_burst = burst_start + SimDuration::from_secs(9);
-    println!(
-        "16:00 uLL burst of 3000 triggers: scaler recommends {} reserved queue(s)",
-        scaler.recommended_queues(after_burst)
     );
 
     // Evening: snapshot the warm sandbox for tomorrow's fleet bootstrap.

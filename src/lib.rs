@@ -69,7 +69,7 @@ pub mod prelude {
     pub use horse_core::{Arena, LoadUpdate, MergePlan, SortedList, SpliceMode};
     pub use horse_faas::{
         Cluster, DispatchPolicy, FaasError, FaasPlatform, FunctionId, HostId, InvocationRecord,
-        KeepAlive, PlatformConfig, StartStrategy, UllScaler,
+        KeepAlive, PlatformConfig, StartStrategy,
     };
     pub use horse_faults::{
         FaultInjector, FaultPlan, FaultSite, FaultTrigger, RecoveryOutcome, RetryPolicy,
@@ -84,7 +84,5 @@ pub mod prelude {
         BootModel, CostModel, PausePolicy, RestoreModel, ResumeBreakdown, ResumeMode, ResumeStep,
         SandboxConfig, SandboxSnapshot, Vmm,
     };
-    pub use horse_workloads::{
-        Category, Firewall, IndexFilter, MicroKv, MlInference, NatTable, OrderBook, Thumbnail,
-    };
+    pub use horse_workloads::{Category, Firewall, IndexFilter, NatTable, Thumbnail};
 }

@@ -76,41 +76,3 @@ fn clock_is_monotonic() {
     }));
     assert!(result.is_err(), "going backwards must panic");
 }
-
-#[test]
-fn trace_recommended_ttl_drives_the_pool() {
-    // The operator loop: analyze the trace, derive the TTL that covers
-    // 100% of observed idle gaps, configure the pool with it, and verify
-    // warm hits across exactly those gaps.
-    use horse_faas::KeepAlive;
-    use horse_traces::stats::keep_alive_for_hit_rate;
-    use horse_traces::{Trace, TraceFunction};
-
-    // A function that goes idle for 4 minutes between bursts.
-    let trace = Trace::new(vec![TraceFunction {
-        owner: "o".into(),
-        app: "a".into(),
-        func: "f".into(),
-        per_minute: vec![1, 0, 0, 0, 1, 1, 0, 0, 0, 1],
-    }]);
-    let ttl_secs = keep_alive_for_hit_rate(&trace, 0, 1.0).unwrap();
-    assert_eq!(ttl_secs, 240, "worst observed gap");
-
-    let mut platform = FaasPlatform::new(PlatformConfig::default());
-    let f = platform.register("f", Category::Cat2, cfg());
-    platform.invoke(f, StartStrategy::Cold).unwrap();
-    platform.set_keep_alive(
-        f,
-        StartStrategy::Warm,
-        KeepAlive::Ttl(SimDuration::from_secs(ttl_secs)),
-    );
-
-    // Re-invoke exactly at the worst observed gap: still warm.
-    platform.advance_to(SimTime::ZERO + SimDuration::from_secs(240));
-    platform.invoke(f, StartStrategy::Warm).unwrap();
-    assert_eq!(platform.pool_stats(f, StartStrategy::Warm).hits, 1);
-
-    // A gap beyond anything in the trace: evicted, as configured.
-    platform.advance_to(SimTime::ZERO + SimDuration::from_secs(240 + 241));
-    assert_eq!(platform.pool_size(f, StartStrategy::Warm), 0);
-}

@@ -4,8 +4,7 @@
 use horse::prelude::*;
 use horse_sim::rng::SeedFactory;
 use horse_workloads::{
-    index_filter, Category, CpuStress, FirewallRule, Image, NatRule, Protocol, RequestHeader,
-    Verdict,
+    index_filter, Category, FirewallRule, Image, NatRule, Protocol, RequestHeader, Verdict,
 };
 
 #[test]
@@ -54,16 +53,12 @@ fn filter_workload_runs_in_a_horse_resumed_sandbox() {
 }
 
 #[test]
-fn thumbnail_and_stress_workloads_do_real_work() {
+fn thumbnail_workload_does_real_work() {
     let mut thumb = Thumbnail::new(32, 32);
     let img = Image::synthetic(320, 240, 5);
     let t = thumb.invoke(&img);
     assert_eq!(t.width(), 32);
     assert!(t.height() < 32 * 240 / 320 + 2);
-
-    let mut stress = CpuStress::new(100_000);
-    let primes = stress.run_unit(500);
-    assert!(primes > 0);
 }
 
 #[test]
